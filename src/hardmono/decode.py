@@ -104,11 +104,10 @@ def _decode_haem(model: HaemModel, lemma: str, features: tuple[str, ...]) -> Dec
         if action.tag in ("WRITE", "COPY") and len(state.out) == write_cap:
             break
         trace.append(action)
-        if action.tag == "STOP":
-            state = model.apply(state, action)
+        state = model.apply(state, action)
+        if state.done:
             terminated = END_ACTION
             break
-        state = model.apply(state, action)
     return DecodeResult(state.out, OracleSequence(tuple(trace), model.arch), terminated)
 
 

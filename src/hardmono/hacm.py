@@ -23,7 +23,7 @@ from hardmono import numcore as nc
 from hardmono.corpus import CharVocabulary, FeatureAlphabet
 from hardmono.nn import BiEncoder, EmbeddingTable, Linear, LstmCell, ParamSet
 from hardmono.numcore import Node
-from hardmono.oracle import HACM, ActionCodec, OracleSequence
+from hardmono.oracle import HACM, ActionCodec, HacmExecutor, OracleSequence
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,15 @@ class HacmState:
     """Decoder state after consuming the previous action."""
 
     ctx: HacmContext = field(repr=False)
-    i: int
+    ex: HacmExecutor         # owns the attention index
     lstm: tuple[Node, Node]
     s: Node | None           # decoder output s_t; None before the first step
     prev_id: int | None
     prev_emb: Node | None
+
+    @property
+    def i(self) -> int:
+        return self.ex.i
 
 
 class HacmModel:
@@ -116,7 +120,7 @@ class HacmModel:
         ids = [self.vocab.BOS_ID] + [self.vocab.id_of(c) for c in lemma] + [self.vocab.EOS_ID]
         frame = tuple(self.encoder([self.char_emb(i) for i in ids]))
         ctx = HacmContext(lemma, frame, self.feature_vector(features), training, rng)
-        return HacmState(ctx, 0, self.decoder.initial_state(), None, None, None)
+        return HacmState(ctx, HacmExecutor(lemma), self.decoder.initial_state(), None, None, None)
 
     # --- one transition ---
 
@@ -124,33 +128,25 @@ class HacmModel:
         """Consume the action emitted at the previous time step: move the
         attention index if it was STEP, then advance the decoder LSTM."""
         ctx = state.ctx
-        i = state.i
-        if self.codec.action_of(action_id).tag == "STEP":
-            i += 1
-            if i > ctx.n + 1:
-                raise ValueError(f"attention index {i} past frame end (n={ctx.n})")
+        ex = state.ex.apply(self.codec.action_of(action_id))
         emb = self.act_emb(action_id)
-        x = nc.concat([emb, ctx.frame[i], ctx.feat_vec])
+        x = nc.concat([emb, ctx.frame[ex.i], ctx.feat_vec])
         if ctx.training and self.config.dropout > 0:
             x = nc.dropout(x, self.config.dropout, ctx.rng)
         s, lstm = self.decoder.step(x, state.lstm)
-        return replace(state, i=i, lstm=lstm, s=s, prev_id=action_id, prev_emb=emb)
+        return replace(state, ex=ex, lstm=lstm, s=s, prev_id=action_id, prev_emb=emb)
 
     def copy_action_id(self, state: HacmState) -> int | None:
         """Action id equivalent to copying the attended frame symbol; None
         when the attended lemma character was never seen in training."""
-        i, ctx = state.i, state.ctx
-        if i == 0:
-            return self.codec.id_of(self.codec.specials[1])  # BOS
-        if i == ctx.n + 1:
-            return self.codec.id_of(self.codec.specials[2])  # EOS
-        return self.codec.write_id(ctx.lemma[i - 1])
+        symbol = state.ex.frame_symbol()
+        if symbol.tag == "WRITE":
+            return self.codec.write_id(symbol.char)
+        return self.codec.id_of(symbol)
 
     def attended_oov(self, state: HacmState) -> str | None:
         """The attended character when it is out of vocabulary, else None."""
-        if 1 <= state.i <= state.ctx.n and self.copy_action_id(state) is None:
-            return state.ctx.lemma[state.i - 1]
-        return None
+        return state.ex.frame_symbol().char if self.copy_action_id(state) is None else None
 
     def distribution(self, state: HacmState) -> Node:
         """Copy mixture over the action inventory. The attended symbol must
@@ -160,9 +156,7 @@ class HacmModel:
             raise ValueError("distribution before the first decoder step")
         copy_id = self.copy_action_id(state)
         if copy_id is None:
-            raise ValueError(
-                f"attended character {state.ctx.lemma[state.i - 1]!r} has no action id"
-            )
+            raise ValueError(f"attended character {self.attended_oov(state)!r} has no action id")
         p_gen = nc.softmax(self.gen(state.s))
         gate_in = nc.concat([state.ctx.frame[state.i], state.ctx.feat_vec,
                              state.prev_emb, state.s])

@@ -28,7 +28,7 @@ from hardmono.corpus import CharVocabulary, FeatureAlphabet
 from hardmono.hacm import ModelConfig
 from hardmono.nn import BiEncoder, EmbeddingTable, Linear, LstmCell, ParamSet
 from hardmono.numcore import Node
-from hardmono.oracle import HAEM, Action, ActionCodec, OracleSequence
+from hardmono.oracle import HAEM, Action, ActionCodec, HaemExecutor, OracleSequence
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,26 @@ class HaemContext:
     def n(self) -> int:
         return len(self.lemma)
 
-    def h_at(self, i: int) -> Node:
-        if not 1 <= i <= self.n + 1:
-            raise ValueError(f"attention index {i} outside [1, {self.n + 1}]")
-        return self.encoded[i - 1] if i <= self.n else self.end_vec
-
 
 @dataclass(frozen=True)
 class HaemState:
     ctx: HaemContext = field(repr=False)
-    i: int
+    ex: HaemExecutor                             # owns attention index, output, and done
     y: tuple[Node, tuple[Node, Node]]            # (output, lstm state) of LSTM over emitted chars
     a: tuple[Node, tuple[Node, Node]] | None     # action-history LSTM (extended)
     d: tuple[Node, tuple[Node, Node]] | None     # deleted-run LSTM (extended)
-    out: str = ""
-    done: bool = False
+
+    @property
+    def i(self) -> int:
+        return self.ex.i
+
+    @property
+    def out(self) -> str:
+        return self.ex.out
+
+    @property
+    def done(self) -> bool:
+        return self.ex.done
 
 
 class HaemModel:
@@ -110,7 +115,7 @@ class HaemModel:
         y0 = (self.lstm_y.h0, self.lstm_y.initial_state())
         a0 = (self.lstm_a.h0, self.lstm_a.initial_state()) if self.extended else None
         d0 = (self.lstm_d.h0, self.lstm_d.initial_state()) if self.extended else None
-        return HaemState(ctx, 1, y0, a0, d0)
+        return HaemState(ctx, HaemExecutor(lemma), y0, a0, d0)
 
     # --- scoring ---
 
@@ -118,16 +123,15 @@ class HaemModel:
         """WRITE and STOP are always available; COPY and DELETE only while
         the attention index is still on the lemma."""
         valid = np.ones(self.codec.size, dtype=bool)
-        if state.i > state.ctx.n:
-            valid[self.COPY_ID] = False
-            valid[self.DELETE_ID] = False
+        valid[[self.COPY_ID, self.DELETE_ID]] = state.ex.can_advance()
         return valid
 
     def distribution(self, state: HaemState) -> Node:
         if state.done:
             raise ValueError("distribution after STOP")
         ctx = state.ctx
-        parts = [state.y[0], ctx.h_at(state.i), ctx.feat_vec]
+        h_i = ctx.encoded[state.i - 1] if state.ex.can_advance() else ctx.end_vec
+        parts = [state.y[0], h_i, ctx.feat_vec]
         if self.extended:
             parts += [state.a[0], state.d[0]]
         x = nc.concat(parts)
@@ -138,41 +142,26 @@ class HaemModel:
 
     # --- transitions ---
 
-    def _feed(self, cell: LstmCell, carried, emb: Node):
-        out, lstm_state = cell.step(emb, carried[1])
-        return out, lstm_state
-
     def apply(self, state: HaemState, action: Action) -> HaemState:
-        """Execute one action: update output, attention index, and the
-        tracking LSTMs. Invalid actions (COPY/DELETE past the lemma) are
-        errors; callers decode against valid_mask."""
-        if state.done:
-            raise ValueError(f"action {action!r} after STOP")
-        ctx = state.ctx
-        i, y, d, out = state.i, state.y, state.d, state.out
-
+        """Execute one action. The executor updates output, attention index,
+        and done, and rejects invalid actions (COPY/DELETE past the lemma,
+        anything after STOP); callers decode against valid_mask. The tracking
+        LSTMs then consume the action."""
+        ex = state.ex.apply(action)
+        y, a, d = state.y, state.a, state.d
         if action.tag in ("COPY", "DELETE"):
-            if i > ctx.n:
-                raise ValueError(f"{action.tag} at i={i} past lemma end (n={ctx.n})")
-            char = ctx.lemma[i - 1]
-            emb = self.char_emb(self.vocab.id_of(char))
+            emb = self.char_emb(self.vocab.id_of(state.ex.attended_char()))
             if action.tag == "COPY":
-                out += char
-                y = self._feed(self.lstm_y, y, emb)
+                y = self.lstm_y.step(emb, y[1])
             elif self.extended:
-                d = self._feed(self.lstm_d, d, emb)
-            i += 1
+                d = self.lstm_d.step(emb, d[1])
         elif action.tag == "WRITE":
-            out += action.char
-            y = self._feed(self.lstm_y, y, self.char_emb(self.vocab.id_of(action.char)))
+            y = self.lstm_y.step(self.char_emb(self.vocab.id_of(action.char)), y[1])
             if self.extended:
                 d = (self.lstm_d.h0, self.lstm_d.initial_state())
-        done = action.tag == "STOP"
-
-        a = state.a
         if self.extended:
-            a = self._feed(self.lstm_a, a, self.act_emb(self.codec.id_of(action)))
-        return replace(state, i=i, y=y, a=a, d=d, out=out, done=done)
+            a = self.lstm_a.step(self.act_emb(self.codec.id_of(action)), a[1])
+        return replace(state, ex=ex, y=y, a=a, d=d)
 
     # --- training objective ---
 

@@ -37,14 +37,6 @@ def mean_levenshtein(predictions: Sequence[str], references: Sequence[str]) -> f
     return sum(levenshtein(p, r) for p, r in zip(predictions, references)) / len(references)
 
 
-def report(predictions: Sequence[str], references: Sequence[str]) -> dict[str, float]:
-    return {
-        "accuracy": accuracy(predictions, references),
-        "mean_levenshtein": mean_levenshtein(predictions, references),
-        "count": len(references),
-    }
-
-
 @dataclass(frozen=True)
 class LanguageResult:
     language: str

@@ -17,15 +17,10 @@ import numpy as np
 _FINITE_CHECKS = False
 
 
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf detection on every op result (off by default; the
-    check costs about as much as the op itself on small tensors)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = enabled
-
-
 @contextlib.contextmanager
 def finite_checks(enabled: bool = True):
+    """NaN/Inf detection on every op result inside the block (off by default;
+    the check costs about as much as the op itself on small tensors)."""
     global _FINITE_CHECKS
     prev = _FINITE_CHECKS
     _FINITE_CHECKS = enabled
@@ -329,22 +324,6 @@ def masked_softmax(a: Node, valid: np.ndarray) -> Node:
             ga = np.zeros_like(a.value)
             ga[valid] = pv * (gv - np.dot(gv, pv))
             a.accum(ga)
-        out._backprop = backprop
-    return out
-
-
-def log_softmax(a: Node) -> Node:
-    if a.value.ndim != 1:
-        _shape_error("log_softmax (1-D only)", a)
-    z = a.value - a.value.max()
-    lse = np.log(np.exp(z).sum())
-    out_v = z - lse
-    p = np.exp(out_v)
-    out = Node(out_v, (a,), None, a.requires_grad, "log_softmax")
-    if out.requires_grad:
-        def backprop():
-            g = out._grad
-            a.accum(g - p * g.sum())
         out._backprop = backprop
     return out
 

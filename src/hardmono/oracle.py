@@ -107,7 +107,8 @@ class HacmExecutor:
             return self
         if action.tag == "STEP":
             if self.i >= self.n + 1:
-                raise ReplayError(f"STEP past end of frame at i={self.i} (n={self.n})")
+                raise ReplayError(f"STEP past frame end at i={self.i} (n={self.n}): "
+                                  "the pointer cannot move past end of the frame")
             return replace(self, i=self.i + 1)
         if action.tag == "WRITE":
             return replace(self, out=self.out + action.char)

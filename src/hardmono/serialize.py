@@ -25,6 +25,7 @@ Both files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -44,8 +45,31 @@ MANIFEST_NAME = "manifest.json"
 PARAMS_NAME = "params.bin"
 
 
+# manifest key -> accepted JSON types (lists hold strings; a key that may
+# be null or absent accepts NoneType)
+_MANIFEST_TYPES = {
+    "arch": (str,), "aligner": (str,), "variant": (str,), "hidden": (int,), "embed": (int,),
+    "feat_embed": (int,), "dropout": (int, float), "chars": (list,), "features": (list,),
+    "dev_accuracy": (int, float, type(None)), "seed": (int, type(None)),
+}
+
+
 class CheckpointError(ValueError):
     """Unreadable or inconsistent checkpoint contents."""
+
+
+def _check_manifest(manifest) -> dict:
+    """The manifest, once it is an object whose keys have the types
+    build_model reads."""
+    if not isinstance(manifest, dict):
+        raise CheckpointError("manifest is not a JSON object")
+    for key, kinds in _MANIFEST_TYPES.items():
+        value = manifest.get(key)
+        if type(value) not in kinds or (type(value) is list
+                                        and not all(type(v) is str for v in value)):
+            raise CheckpointError(f"manifest key {key!r} is missing or has the wrong "
+                                  f"type ({type(value).__name__})")
+    return manifest
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -78,16 +102,30 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a parameter file (bad magic)")
+    if len(raw) < 20:
+        raise CheckpointError(f"{path}: truncated before the header")
     (version,) = struct.unpack_from("<I", raw, 8)
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     (header_len,) = struct.unpack_from("<Q", raw, 12)
-    header = json.loads(raw[20:20 + header_len].decode("utf-8"))
-    state: dict[str, np.ndarray] = {}
     offset = 20 + header_len
-    for entry in header["entries"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    if offset > len(raw):
+        raise CheckpointError(f"{path}: header length {header_len} runs past the end")
+    try:
+        header = json.loads(raw[20:offset].decode("utf-8"))
+    except ValueError as e:
+        raise CheckpointError(f"{path}: unreadable header ({e})") from None
+    entries = header.get("entries") if isinstance(header, dict) else None
+    if not isinstance(entries, list):
+        raise CheckpointError(f"{path}: header has no entries list")
+    state: dict[str, np.ndarray] = {}
+    for entry in entries:
+        shape = entry.get("shape") if type(entry) is dict else None
+        if not (type(shape) is list and type(entry.get("name")) is str
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise CheckpointError(f"{path}: header entry needs a name and an integer shape")
+        shape = tuple(shape)
+        count = math.prod(shape)
         end = offset + 8 * count
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated payload at {entry['name']!r}")
@@ -149,10 +187,15 @@ def load_checkpoint(directory: str | Path) -> tuple[HacmModel | HaemModel, dict]
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise CheckpointError(f"{directory}: no {MANIFEST_NAME}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    model = build_model(manifest)
     try:
-        model.params.load_state_dict(load_params(directory / PARAMS_NAME))
+        manifest = _check_manifest(json.loads(manifest_path.read_text(encoding="utf-8")))
+        model = build_model(manifest)
     except ValueError as e:
-        raise CheckpointError(f"{directory}: {e}") from None
+        raise CheckpointError(f"{manifest_path}: {e}") from None
+    params_path = directory / PARAMS_NAME
+    state = load_params(params_path)
+    try:
+        model.params.load_state_dict(state)
+    except ValueError as e:
+        raise CheckpointError(f"{params_path}: {e}") from None
     return model, manifest

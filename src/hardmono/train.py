@@ -53,7 +53,6 @@ class TrainConfig:
     epochs: int = 50
     patience: int = 5          # epochs without a dev-accuracy improvement
     lr: float = 1e-3
-    clip_norm: float = 5.0
     dropout: float = 0.3
     seed: int = 0
     setting: str = "low"
@@ -154,7 +153,7 @@ def train_model(arch: str, aligner: str, train: list[Sample], dev: list[Sample],
     model_config = replace(sizes, dropout=config.dropout)
     cls = HacmModel if arch == HACM else HaemModel
     model = cls(vocab, feats, model_config, rng)
-    optimizer = Adam(model.params.nodes(), lr=config.lr, clip_norm=config.clip_norm)
+    optimizer = Adam(model.params.nodes(), lr=config.lr)
 
     best_accuracy = -1.0
     best_state = None

@@ -1,11 +1,19 @@
 """End-to-end command-line behavior: pipelines, config files, exit codes."""
 
 import json
+import re
+import shlex
+import shutil
+import struct
+from pathlib import Path
 
 import pytest
 
-from hardmono.cli import main
+from hardmono.cli import build_parser, main
 from hardmono.corpus import parse_dataset
+from hardmono.serialize import FORMAT_VERSION, MAGIC
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TINY = ["--hidden", "8", "--embed", "6", "--feat-embed", "3",
         "--epochs", "1", "--patience", "1", "--dropout", "0.0"]
@@ -206,3 +214,59 @@ def test_run_empty_pool(tmp_path, capsys):
                  "--hacm-smart", "0", "--hacm-naive", "0",
                  "--haem-smart", "0", "--haem-naive", "0", *TINY])
     assert code == 2
+
+
+def test_readme_commands_parse():
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("hardmono "):
+                commands.append(shlex.split(line)[1:])
+    parser, registry = build_parser()
+    assert {argv[0] for argv in commands} == set(registry)
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: hardmono {shlex.join(argv)}")
+
+
+def _edit_manifest(edit):
+    def corrupt(ckpt):
+        path = ckpt / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+    return corrupt
+
+
+def _write_header(header: bytes):
+    def corrupt(ckpt):
+        (ckpt / "params.bin").write_bytes(
+            MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _edit_manifest(lambda m: m.pop("hidden")),
+    _edit_manifest(lambda m: m.pop("arch")),
+    _edit_manifest(lambda m: m.update(hidden="4")),
+    _edit_manifest(lambda m: m.update(hidden=0)),
+    _edit_manifest(lambda m: m.update(chars=[1, 2])),
+    _edit_manifest(lambda m: m.update(seed="1")),
+    lambda ckpt: (ckpt / "manifest.json").write_text("[]"),
+    lambda ckpt: (ckpt / "manifest.json").write_text('{"arch": "HACM",'),
+    _write_header(b"{}"),
+    _write_header(b'{"entries": [{"name": "w"}]}'),
+    _write_header(b'{"entries": [{"name": "w", "shape": [2.5]}]}'),
+    _write_header(b"not json"),
+    lambda ckpt: (ckpt / "params.bin").write_bytes(MAGIC + b"\x01"),
+], ids=["no-hidden", "no-arch", "hidden-str", "hidden-zero", "chars-int", "seed-str",
+        "not-object", "bad-json", "no-entries", "no-shape", "float-shape", "header-json",
+        "short-params"])
+def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys, corrupt):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(checkpoints / "HACM_smart", ckpt)
+    corrupt(ckpt)
+    assert main(["predict", "--model", str(ckpt), "--input", str(lang / "test.tsv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")

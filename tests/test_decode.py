@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from hardmono.align import ALIGNERS
 from hardmono.corpus import CharVocabulary, FeatureAlphabet
 from hardmono.decode import (
     END_ACTION,
@@ -13,7 +16,16 @@ from hardmono.decode import (
 )
 from hardmono.hacm import HacmModel, ModelConfig
 from hardmono.haem import HaemModel
-from hardmono.oracle import COPY, STOP, OracleSequence, replay
+from hardmono.oracle import (
+    COPY,
+    STOP,
+    HaemExecutor,
+    OracleSequence,
+    hacm_oracle,
+    haem_oracle,
+    replay,
+    replay_with_trace,
+)
 
 
 CFG = ModelConfig(hidden=5, embed=4, feat_embed=2, dropout=0.0)
@@ -29,6 +41,35 @@ def build(arch, chars="abfgilnoe", seed=0):
 def zero_params(model):
     for node in model.params.nodes():
         node.value[:] = 0.0
+
+
+# --- models and executors agree ---
+
+
+@pytest.mark.parametrize("aligner", sorted(ALIGNERS))
+def test_teacher_forced_models_follow_the_executors(aligner):
+    """Fed an oracle sequence, HACM's pointer visits exactly the replay trace
+    and HAEM reaches the executor's (i, out, done) after every action."""
+    rng = random.Random(13)
+    align = ALIGNERS[aligner]
+    hacm, haem = build("HACM"), build("HAEM")
+    for _ in range(40):
+        lemma, form = ("".join(rng.choice("abfgilnoe") for _ in range(rng.randint(1, 8)))
+                       for _ in range(2))
+        seq = hacm_oracle(align(lemma, form))
+        _, trace = replay_with_trace(lemma, seq)
+        state = hacm.start(lemma, ("V",))
+        visited = []
+        for action in seq.actions[:-1]:   # the final EOS is predicted, never fed
+            state = hacm.step(state, hacm.codec.id_of(action))
+            visited.append(state.i)
+        assert visited == trace[1:]
+
+        state, ex = haem.start(lemma, ("V",)), HaemExecutor(lemma)
+        for action in haem_oracle(align(lemma, form)).actions:
+            state, ex = haem.apply(state, action), ex.apply(action)
+            assert (state.i, state.out, state.done) == (ex.i, ex.out, ex.done)
+        assert state.out == form
 
 
 # --- edit-action model decoding ---

@@ -13,7 +13,6 @@ from hardmono.metrics import (
     mean_levenshtein,
     render_table,
     render_tsv,
-    report,
     score,
 )
 
@@ -60,18 +59,10 @@ def test_mean_levenshtein():
         mean_levenshtein(["a"], [])
 
 
-def test_report_dict():
-    rep = report(["ab", "xy"], ["ab", "xz"])
-    assert rep["accuracy"] == 0.5
-    assert rep["mean_levenshtein"] == 0.5
-    assert rep["count"] == 2
-
-
 def test_exact_match_implies_zero_distance():
     words = ["one", "two", "three"]
-    rep = report(words, list(words))
-    assert rep["accuracy"] == 1.0
-    assert rep["mean_levenshtein"] == 0.0
+    assert accuracy(words, list(words)) == 1.0
+    assert mean_levenshtein(words, list(words)) == 0.0
 
 
 def test_macro_average_is_unweighted():
