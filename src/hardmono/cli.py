@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from hardmono.align import ALIGNERS, render
-from hardmono.corpus import DataError, Sample, parse_dataset
+from hardmono.corpus import DataError, Sample, open_text, parse_dataset
 from hardmono.decode import greedy_decode, post_filter
 from hardmono.ensemble import EnsembleError, ExternalRun, ModelPool, run_strategy
 from hardmono.hacm import ModelConfig
@@ -56,7 +56,7 @@ def _read_predictions(path: str) -> list[str]:
     """One prediction per line: the middle column of a three-column row,
     otherwise the whole line.  Tolerates empty predictions."""
     rows = []
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for line in f:
             line = line.rstrip("\n")
             cols = line.split("\t")
@@ -445,7 +445,7 @@ def _apply_config(sub: argparse.ArgumentParser, values: dict[str, str]) -> None:
 
 def load_config(path: str) -> dict[str, str]:
     values = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

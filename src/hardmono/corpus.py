@@ -7,6 +7,7 @@ Data files are UTF-8 text, one sample per line, tab-separated:
 
 from __future__ import annotations
 
+import io
 import logging
 from dataclasses import dataclass, field
 
@@ -42,11 +43,24 @@ class Sample:
             raise DataError("empty form (use None for unlabeled samples)")
 
 
+def open_text(path: str) -> io.TextIOWrapper:
+    """The file as UTF-8 text, read like ``open(path, encoding="utf-8")``;
+    bytes that are not UTF-8 raise DataError naming the file and line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text ({e.reason})") from None
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def parse_dataset(path: str, has_form: bool = True) -> list[Sample]:
     """Read one Sample per line; raises DataError with the line number."""
     samples = []
     expected = 3 if has_form else 2
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:

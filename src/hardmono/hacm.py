@@ -53,8 +53,6 @@ class HacmContext:
     lemma: str
     frame: tuple[Node, ...]      # h_0 .. h_{n+1} over BOS + lemma + EOS
     feat_vec: Node
-    training: bool
-    rng: np.random.Generator | None
 
     @property
     def n(self) -> int:
@@ -111,15 +109,15 @@ class HacmModel:
                  for s in range(self.feats.num_slots)]
         return nc.concat(parts)
 
-    def start(self, lemma: str, features: tuple[str, ...], training: bool = False,
-              rng: np.random.Generator | None = None) -> HacmState:
+    def _frame_ids(self, lemma: str) -> list[int]:
+        """Character ids of the BOS + lemma + EOS frame."""
         if not lemma:
             raise ValueError("empty lemma")
-        if training and rng is None:
-            raise ValueError("training mode needs a dropout generator")
-        ids = [self.vocab.BOS_ID] + [self.vocab.id_of(c) for c in lemma] + [self.vocab.EOS_ID]
-        frame = tuple(self.encoder([self.char_emb(i) for i in ids]))
-        ctx = HacmContext(lemma, frame, self.feature_vector(features), training, rng)
+        return [self.vocab.BOS_ID] + [self.vocab.id_of(c) for c in lemma] + [self.vocab.EOS_ID]
+
+    def start(self, lemma: str, features: tuple[str, ...]) -> HacmState:
+        frame = tuple(self.encoder([self.char_emb(i) for i in self._frame_ids(lemma)]))
+        ctx = HacmContext(lemma, frame, self.feature_vector(features))
         return HacmState(ctx, HacmExecutor(lemma), self.decoder.initial_state(), None, None, None)
 
     # --- one transition ---
@@ -131,15 +129,16 @@ class HacmModel:
         ex = state.ex.apply(self.codec.action_of(action_id))
         emb = self.act_emb(action_id)
         x = nc.concat([emb, ctx.frame[ex.i], ctx.feat_vec])
-        if ctx.training and self.config.dropout > 0:
-            x = nc.dropout(x, self.config.dropout, ctx.rng)
         s, lstm = self.decoder.step(x, state.lstm)
         return replace(state, ex=ex, lstm=lstm, s=s, prev_id=action_id, prev_emb=emb)
 
     def copy_action_id(self, state: HacmState) -> int | None:
         """Action id equivalent to copying the attended frame symbol; None
         when the attended lemma character was never seen in training."""
-        symbol = state.ex.frame_symbol()
+        return self._copy_id(state.ex)
+
+    def _copy_id(self, ex: HacmExecutor) -> int | None:
+        symbol = ex.frame_symbol()
         if symbol.tag == "WRITE":
             return self.codec.write_id(symbol.char)
         return self.codec.id_of(symbol)
@@ -172,15 +171,50 @@ class HacmModel:
                     oracle: OracleSequence, rng: np.random.Generator | None = None,
                     training: bool = True) -> Node:
         """Teacher-forced negative log-likelihood, summed over the predicted
-        actions (everything after the initial BOS)."""
-        if oracle.inventory != HACM or not oracle.actions or oracle.actions[0].tag != "BOS":
+        actions (everything after the initial BOS).
+
+        The oracle fixes every action and, through the executor, the
+        attended position at every step, so all T decoder inputs are known
+        before the forward pass: the loss runs the decoder as one sequence
+        op and the output heads on all T rows at once. Training-mode
+        dropout draws one (T, D) block, the same stream as one draw per
+        step."""
+        actions = oracle.actions
+        if oracle.inventory != HACM or len(actions) < 2 or actions[0].tag != "BOS":
             raise ValueError("oracle must be a BOS-led write/step sequence")
-        state = self.start(lemma, features, training=training, rng=rng)
-        prev = self.codec.id_of(oracle.actions[0])
-        losses = []
-        for action in oracle.actions[1:]:
-            state = self.step(state, prev)
+        frame_ids = self._frame_ids(lemma)
+        if training and rng is None:
+            raise ValueError("training mode needs a dropout generator")
+        # replay: step t consumes action t-1 and predicts action t
+        prev_ids, positions, targets, copies = [], [], [], []
+        ex = HacmExecutor(lemma)
+        prev = self.codec.id_of(actions[0])
+        for action in actions[1:]:
+            ex = ex.apply(self.codec.action_of(prev))
             target = self.codec.id_of(action)
-            losses.append(nc.neg(nc.log(nc.pick(self.distribution(state), target))))
+            copy_id = self._copy_id(ex)
+            if copy_id is None:
+                raise ValueError(f"attended character {ex.frame_symbol().char!r} has no action id")
+            prev_ids.append(prev)
+            positions.append(ex.i)
+            targets.append(target)
+            copies.append(target == copy_id)
             prev = target
-        return nc.addn(losses)
+        steps = len(targets)
+        targets = np.array(targets)
+
+        frame = self.encoder.encode(self.char_emb(np.array(frame_ids)))
+        attended = nc.row(frame, np.array(positions))
+        feats = nc.vstack([self.feature_vector(features)] * steps)
+        prev_emb = self.act_emb(np.array(prev_ids))
+        x = nc.concat([prev_emb, attended, feats])
+        if training and self.config.dropout > 0:
+            x = nc.dropout(x, self.config.dropout, rng)
+        s = self.decoder.sequence(x)
+        p_gen = nc.pick(nc.softmax(self.gen(s)), targets)
+        gate = self.gate(nc.concat([attended, feats, prev_emb, s]))
+        w = nc.sigmoid(nc.pick(gate, np.zeros(steps, dtype=int)))
+        is_copy = nc.constant(np.array(copies, dtype=float))
+        ones = nc.constant(np.ones(steps))
+        p = nc.add(nc.mul(w, p_gen), nc.mul(nc.sub(ones, w), is_copy))
+        return nc.neg(nc.dot(ones, nc.log(p)))

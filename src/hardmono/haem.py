@@ -37,8 +37,6 @@ class HaemContext:
     encoded: tuple[Node, ...]    # h_1 .. h_n over the bare lemma
     end_vec: Node                # stands in for h_{n+1}
     feat_vec: Node               # multi-hot indicator, constant
-    training: bool
-    rng: np.random.Generator | None
 
     @property
     def n(self) -> int:
@@ -103,15 +101,11 @@ class HaemModel:
             vec[slot] = 1.0
         return nc.constant(vec)
 
-    def start(self, lemma: str, features: tuple[str, ...], training: bool = False,
-              rng: np.random.Generator | None = None) -> HaemState:
+    def start(self, lemma: str, features: tuple[str, ...]) -> HaemState:
         if not lemma:
             raise ValueError("empty lemma")
-        if training and rng is None:
-            raise ValueError("training mode needs a dropout generator")
         encoded = tuple(self.encoder([self.char_emb(self.vocab.id_of(c)) for c in lemma]))
-        ctx = HaemContext(lemma, encoded, self.end_vec, self.feature_indicator(features),
-                          training, rng)
+        ctx = HaemContext(lemma, encoded, self.end_vec, self.feature_indicator(features))
         y0 = (self.lstm_y.h0, self.lstm_y.initial_state())
         a0 = (self.lstm_a.h0, self.lstm_a.initial_state()) if self.extended else None
         d0 = (self.lstm_d.h0, self.lstm_d.initial_state()) if self.extended else None
@@ -122,8 +116,11 @@ class HaemModel:
     def valid_mask(self, state: HaemState) -> np.ndarray:
         """WRITE and STOP are always available; COPY and DELETE only while
         the attention index is still on the lemma."""
+        return self._valid(state.ex)
+
+    def _valid(self, ex: HaemExecutor) -> np.ndarray:
         valid = np.ones(self.codec.size, dtype=bool)
-        valid[[self.COPY_ID, self.DELETE_ID]] = state.ex.can_advance()
+        valid[[self.COPY_ID, self.DELETE_ID]] = ex.can_advance()
         return valid
 
     def distribution(self, state: HaemState) -> Node:
@@ -134,10 +131,7 @@ class HaemModel:
         parts = [state.y[0], h_i, ctx.feat_vec]
         if self.extended:
             parts += [state.a[0], state.d[0]]
-        x = nc.concat(parts)
-        if ctx.training and self.config.dropout > 0:
-            x = nc.dropout(x, self.config.dropout, ctx.rng)
-        s = nc.relu(self.state_proj(x))
+        s = nc.relu(self.state_proj(nc.concat(parts)))
         return nc.masked_softmax(self.act_out(s), self.valid_mask(state))
 
     # --- transitions ---
@@ -169,13 +163,71 @@ class HaemModel:
                     oracle: OracleSequence, rng: np.random.Generator | None = None,
                     training: bool = True) -> Node:
         """Teacher-forced negative log-likelihood over every oracle action,
-        with the validity mask applied at each step."""
-        if oracle.inventory != HAEM or not oracle.actions or oracle.actions[-1].tag != "STOP":
+        with the validity mask applied at each step.
+
+        One replay through the executor fixes every step's inputs, so each
+        tracking LSTM runs as one sequence op (the deleted-run LSTM once
+        per run between WRITEs, since every WRITE resets it) and step t
+        reads row t of the stacked states. Training-mode dropout draws one
+        (T, D) block, the same stream as one draw per step."""
+        actions = oracle.actions
+        if oracle.inventory != HAEM or not actions or actions[-1].tag != "STOP":
             raise ValueError("oracle must be a STOP-terminated edit sequence")
-        state = self.start(lemma, features, training=training, rng=rng)
-        losses = []
-        for action in oracle.actions:
-            target = self.codec.id_of(action)
-            losses.append(nc.neg(nc.log(nc.pick(self.distribution(state), target))))
-            state = self.apply(state, action)
-        return nc.addn(losses)
+        if not lemma:
+            raise ValueError("empty lemma")
+        if training and rng is None:
+            raise ValueError("training mode needs a dropout generator")
+        # replay: per step, the state before its action (y and d as rows of
+        # the stacked states below, h_i as a row of [h_1 .. h_n; end])
+        targets, positions, valid, y_rows, d_rows = [], [], [], [], []
+        y_ids: list[int] = []
+        d_runs: list[list[int]] = [[]]
+        d_start = 0
+        ex = HaemExecutor(lemma)
+        for action in actions:
+            targets.append(self.codec.id_of(action))
+            if ex.done:
+                raise ValueError("distribution after STOP")
+            positions.append(ex.i - 1)
+            valid.append(self._valid(ex))
+            y_rows.append(len(y_ids))
+            d_rows.append(d_start + len(d_runs[-1]))
+            attended = ex.attended_char()
+            ex = ex.apply(action)
+            if action.tag == "COPY":
+                y_ids.append(self.vocab.id_of(attended))
+            elif action.tag == "DELETE":
+                d_runs[-1].append(self.vocab.id_of(attended))
+            elif action.tag == "WRITE":
+                y_ids.append(self.vocab.id_of(action.char))
+                d_start += len(d_runs[-1]) + 1
+                d_runs.append([])
+        steps = len(targets)
+
+        lemma_ids = np.array([self.vocab.id_of(c) for c in lemma])
+        encoded = self.encoder.encode(self.char_emb(lemma_ids))
+        parts = [nc.row(self._states(self.lstm_y, self.char_emb, [y_ids]), np.array(y_rows)),
+                 nc.row(nc.vstack([encoded, self.end_vec]), np.array(positions)),
+                 nc.constant(np.tile(self.feature_indicator(features).value, (steps, 1)))]
+        if self.extended:
+            # the action history before step t is exactly row t
+            parts += [self._states(self.lstm_a, self.act_emb, [targets[:-1]]),
+                      nc.row(self._states(self.lstm_d, self.char_emb, d_runs), np.array(d_rows))]
+        x = nc.concat(parts)
+        if training and self.config.dropout > 0:
+            x = nc.dropout(x, self.config.dropout, rng)
+        s = nc.relu(self.state_proj(x))
+        p = nc.pick(nc.masked_softmax(self.act_out(s), np.array(valid)), np.array(targets))
+        return nc.neg(nc.dot(nc.constant(np.ones(steps)), nc.log(p)))
+
+    @staticmethod
+    def _states(cell: LstmCell, emb: EmbeddingTable, runs: list[list[int]]) -> Node:
+        """Stacked outputs of ``cell`` over each run of embedded ids; every
+        run starts from the learned state, whose h0 is the run's first
+        row."""
+        blocks = []
+        for ids in runs:
+            blocks.append(cell.h0)
+            if ids:
+                blocks.append(cell.sequence(emb(np.array(ids))))
+        return nc.vstack(blocks)

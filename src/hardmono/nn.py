@@ -145,14 +145,17 @@ class LstmCell:
         h = nc.mul(o, nc.tanh(c))
         return h, (h, c)
 
+    def sequence(self, x: Node) -> Node:
+        """Outputs for the rows of ``x`` (one input per row), starting from
+        the learned state, as one op."""
+        return nc.lstm_seq(x, self.w, self.b, self.h0, self.c0)
+
     def run(self, xs: list[Node]) -> list[Node]:
         """Outputs for a whole sequence, starting from the learned state."""
-        state = self.initial_state()
-        outs = []
-        for x in xs:
-            out, state = self.step(x, state)
-            outs.append(out)
-        return outs
+        if not xs:
+            return []
+        out = self.sequence(nc.vstack(xs))
+        return [nc.row(out, t) for t in range(len(xs))]
 
     @staticmethod
     def param_count(input_size: int, hidden_size: int) -> int:
@@ -170,12 +173,17 @@ class BiEncoder:
         self.fwd = LstmCell(params, f"{name}.fwd", input_size, hidden_size, rng)
         self.bwd = LstmCell(params, f"{name}.bwd", input_size, hidden_size, rng)
 
+    def encode(self, x: Node) -> Node:
+        """Row i is [forward_i; backward_i] for the rows of ``x``."""
+        back = np.arange(x.value.shape[0])[::-1]
+        bwd = nc.row(self.bwd.sequence(nc.row(x, back)), back)
+        return nc.concat([self.fwd.sequence(x), bwd])
+
     def __call__(self, xs: list[Node]) -> list[Node]:
         if not xs:
             raise ValueError("encoder needs a nonempty input sequence")
-        fwd_out = self.fwd.run(xs)
-        bwd_out = self.bwd.run(list(reversed(xs)))[::-1]
-        return [nc.concat([f, b]) for f, b in zip(fwd_out, bwd_out)]
+        out = self.encode(nc.vstack(xs))
+        return [nc.row(out, i) for i in range(len(xs))]
 
     @staticmethod
     def param_count(input_size: int, hidden_size: int) -> int:

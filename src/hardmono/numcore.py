@@ -1,9 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A computation builds a fresh tape of Node objects per sample (sequence
-lengths vary, so the graph is dynamic). backward() walks the tape once in
-reverse topological order; each op carries a closure that routes the
-incoming gradient to its parents. Gradients are float64 throughout.
+A computation builds a tape of Node objects (sequence lengths vary, so the
+graph is dynamic). backward() walks the tape once in reverse topological
+order; each op carries a closure that routes the incoming gradient to its
+parents. Gradients are float64 throughout.
+
+Ops work on vectors and, where a loss needs row-wise work, on matrices
+with one time step per row. The teacher-forced training losses of both
+models are built from such whole-sequence ops: ``lstm_seq`` runs an LSTM
+over all rows with a hand-written backward pass through time, and the
+output heads are batched over the rows. Greedy decoding steps the same
+ops one vector at a time.
 """
 
 from __future__ import annotations
@@ -67,9 +74,12 @@ class Node:
     def accum(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if self._grad is None:
-            self._grad = np.zeros_like(self.value)
-        self._grad += g
+        if self._grad is not None:
+            self._grad += g
+        elif g.shape == self.value.shape:
+            self._grad = np.array(g, dtype=np.float64)  # a copy spares zero-filling
+        else:
+            raise GradError(f"gradient of shape {g.shape} for {self!r}")
 
     def zero_grad(self) -> None:
         self._grad = None
@@ -108,13 +118,16 @@ def _unary(op: str, a: Node, out_value: np.ndarray, dfn: Callable[[np.ndarray], 
 
 
 def add(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
+    """Sum of same-shaped tensors; a vector ``b`` also adds to every row of
+    a matrix ``a`` (a bias)."""
+    rows = a.value.ndim == 2 and b.value.shape == a.value.shape[1:]
+    if a.value.shape != b.value.shape and not rows:
         _shape_error("add", a, b)
     out = Node(a.value + b.value, (a, b), None, a.requires_grad or b.requires_grad, "add")
     if out.requires_grad:
         def backprop():
             a.accum(out._grad)
-            b.accum(out._grad)
+            b.accum(out._grad.sum(axis=0) if rows else out._grad)
         out._backprop = backprop
     return out
 
@@ -179,13 +192,18 @@ def scale(s: Node, v: Node) -> Node:
 
 
 def matvec(w: Node, x: Node) -> Node:
-    if w.value.ndim != 2 or x.value.ndim != 1 or w.value.shape[1] != x.value.shape[0]:
+    """``w @ x`` for a vector x; a matrix x holds one input per row and
+    maps to one output per row."""
+    if w.value.ndim != 2 or x.value.ndim not in (1, 2) or w.value.shape[1] != x.value.shape[-1]:
         _shape_error("matvec", w, x)
-    out = Node(w.value @ x.value, (w, x), None, w.requires_grad or x.requires_grad, "matvec")
+    vector = x.value.ndim == 1
+    out_value = w.value @ x.value if vector else x.value @ w.value.T
+    out = Node(out_value, (w, x), None, w.requires_grad or x.requires_grad, "matvec")
     if out.requires_grad:
         def backprop():
-            w.accum(np.outer(out._grad, x.value))
-            x.accum(w.value.T @ out._grad)
+            g = out._grad
+            w.accum(np.outer(g, x.value) if vector else g.T @ x.value)
+            x.accum(g @ w.value)
         out._backprop = backprop
     return out
 
@@ -203,18 +221,40 @@ def dot(a: Node, b: Node) -> Node:
 
 
 def concat(parts: Sequence[Node]) -> Node:
+    """Join vectors, or matrices with equal row counts, along the last axis."""
     if not parts:
         raise ValueError("concat of nothing")
+    lead = parts[0].value.shape[:-1]
     for p in parts:
-        if p.value.ndim != 1:
-            _shape_error("concat (1-D only)", p)
-    out_value = np.concatenate([p.value for p in parts])
+        if p.value.ndim not in (1, 2) or p.value.shape[:-1] != lead:
+            _shape_error("concat (vectors, or matrices with equal rows)", parts[0], p)
+    out_value = np.concatenate([p.value for p in parts], axis=-1)
     out = Node(out_value, tuple(parts), None, any(p.requires_grad for p in parts), "concat")
     if out.requires_grad:
-        offsets = np.cumsum([0] + [p.value.shape[0] for p in parts])
+        offsets = np.cumsum([0] + [p.value.shape[-1] for p in parts])
         def backprop():
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                p.accum(out._grad[lo:hi])
+                p.accum(out._grad[..., lo:hi])
+        out._backprop = backprop
+    return out
+
+
+def vstack(parts: Sequence[Node]) -> Node:
+    """Rows stacked top to bottom, as numpy's vstack: a vector is one row,
+    a matrix adds all of its rows."""
+    if not parts:
+        raise ValueError("vstack of nothing")
+    width = parts[0].value.shape[-1:]
+    for p in parts:
+        if p.value.ndim not in (1, 2) or p.value.shape[-1:] != width:
+            _shape_error("vstack", parts[0], p)
+    out = Node(np.vstack([p.value for p in parts]), tuple(parts), None,
+               any(p.requires_grad for p in parts), "vstack")
+    if out.requires_grad:
+        offsets = np.cumsum([0] + [p.value.shape[0] if p.value.ndim == 2 else 1 for p in parts])
+        def backprop():
+            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+                p.accum(out._grad[lo:hi] if p.value.ndim == 2 else out._grad[lo])
         out._backprop = backprop
     return out
 
@@ -232,33 +272,51 @@ def vslice(a: Node, start: int, stop: int) -> Node:
     return out
 
 
-def row(m: Node, index: int) -> Node:
-    """Row of a 2-D table (embedding lookup); bad index is an error."""
+def row(m: Node, index: int | np.ndarray) -> Node:
+    """Row of a 2-D table (embedding lookup). An index array gathers one
+    row per entry into a matrix; backward scatter-adds into the rows used.
+    A bad index is an error."""
     if m.value.ndim != 2:
         _shape_error("row (2-D table)", m)
-    if not 0 <= index < m.value.shape[0]:
+    index = np.asarray(index)
+    if index.ndim > 1 or not np.issubdtype(index.dtype, np.integer):
+        raise IndexError(f"row index must be an integer or a 1-D integer array, got {index!r}")
+    if index.size and not (0 <= index.min() and index.max() < m.value.shape[0]):
         raise IndexError(f"row {index} out of range for table {m.value.shape}")
     out = Node(m.value[index].copy(), (m,), None, m.requires_grad, "row")
     if out.requires_grad:
         def backprop():
             g = np.zeros_like(m.value)
-            g[index] = out._grad
+            if index.ndim:
+                np.add.at(g, index, out._grad)
+            else:
+                g[index] = out._grad
             m.accum(g)
         out._backprop = backprop
     return out
 
 
-def pick(a: Node, index: int) -> Node:
-    """Scalar entry of a vector."""
-    if a.value.ndim != 1:
-        _shape_error("pick (1-D only)", a)
-    if not 0 <= index < a.value.shape[0]:
+def pick(a: Node, index: int | np.ndarray) -> Node:
+    """Scalar entry of a vector; for a matrix, ``index`` holds one column
+    per row and the result is the vector of those entries."""
+    if a.value.ndim == 2:
+        index = np.asarray(index)
+        if index.shape != a.value.shape[:1] or not np.issubdtype(index.dtype, np.integer):
+            raise IndexError(f"pick needs one column per row of {a.value.shape}, got {index!r}")
+        if index.size and not (0 <= index.min() and index.max() < a.value.shape[1]):
+            raise IndexError(f"pick {index} out of range for matrix {a.value.shape}")
+        where = (np.arange(index.shape[0]), index)
+    elif a.value.ndim != 1:
+        _shape_error("pick (vector or matrix)", a)
+    elif not 0 <= index < a.value.shape[0]:
         raise IndexError(f"pick {index} out of range for vector {a.value.shape}")
-    out = Node(a.value[index], (a,), None, a.requires_grad, "pick")
+    else:
+        where = index
+    out = Node(a.value[where], (a,), None, a.requires_grad, "pick")
     if out.requires_grad:
         def backprop():
             g = np.zeros_like(a.value)
-            g[index] = out._grad
+            g[where] = out._grad
             a.accum(g)
         out._backprop = backprop
     return out
@@ -269,11 +327,14 @@ def tanh(a: Node) -> Node:
     return _unary("tanh", a, t, lambda g: g * (1.0 - t * t))
 
 
-def sigmoid(a: Node) -> Node:
+def _sigmoid(v: np.ndarray) -> np.ndarray:
     # Split by sign so exp never overflows.
-    v = a.value
-    s = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.clip(v, 0, None))),
-                 np.exp(np.clip(v, None, 0)) / (1.0 + np.exp(np.clip(v, None, 0))))
+    e = np.exp(np.minimum(v, 0))
+    return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.maximum(v, 0))), e / (1.0 + e))
+
+
+def sigmoid(a: Node) -> Node:
+    s = _sigmoid(a.value)
     return _unary("sigmoid", a, s, lambda g: g * s * (1.0 - s))
 
 
@@ -288,42 +349,113 @@ def log(a: Node) -> Node:
     return _unary("log", a, np.log(a.value), lambda g: g / a.value)
 
 
-def softmax(a: Node) -> Node:
-    """Distribution over a 1-D vector, max-subtracted for stability."""
-    if a.value.ndim != 1:
-        _shape_error("softmax (1-D only)", a)
-    z = a.value - a.value.max()
-    e = np.exp(z)
-    p = e / e.sum()
-    out = Node(p, (a,), None, a.requires_grad, "softmax")
+def _softmax_backprop(out: Node, a: Node, p: np.ndarray) -> None:
     if out.requires_grad:
         def backprop():
             g = out._grad
-            a.accum(p * (g - np.dot(g, p)))
+            a.accum(p * (g - (g * p).sum(axis=-1, keepdims=True)))
         out._backprop = backprop
+
+
+def softmax(a: Node) -> Node:
+    """Distribution over a vector, or over each row of a matrix;
+    max-subtracted for stability."""
+    if a.value.ndim not in (1, 2):
+        _shape_error("softmax (vector or matrix)", a)
+    z = a.value - a.value.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = Node(p, (a,), None, a.requires_grad, "softmax")
+    _softmax_backprop(out, a, p)
     return out
 
 
 def masked_softmax(a: Node, valid: np.ndarray) -> Node:
-    """Softmax over the positions where ``valid`` is True; the rest of the
-    output is exactly 0.0 and receives no gradient."""
-    if a.value.ndim != 1 or valid.shape != a.value.shape:
+    """Softmax over the positions where ``valid`` is True, per row for a
+    matrix; the rest of the output is exactly 0.0 and receives no
+    gradient."""
+    if a.value.ndim not in (1, 2) or valid.shape != a.value.shape:
         raise ValueError(f"masked_softmax: logits {a.value.shape} vs mask {valid.shape}")
-    if not valid.any():
+    if not valid.any(axis=-1).all():
         raise ValueError("masked_softmax: no valid positions")
-    z = a.value[valid]
-    z = z - z.max()
-    e = np.exp(z)
-    pv = e / e.sum()
-    p = np.zeros_like(a.value)
-    p[valid] = pv
+    if a.value.ndim == 1:
+        # normalise over the valid entries alone, so a vector's sum runs
+        # over exactly those terms
+        z = a.value[valid]
+        e = np.exp(z - z.max())
+        p = np.zeros_like(a.value)
+        p[valid] = e / e.sum()
+    else:
+        z = np.where(valid, a.value, -np.inf)
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
     out = Node(p, (a,), None, a.requires_grad, "masked_softmax")
+    _softmax_backprop(out, a, p)
+    return out
+
+
+def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node) -> Node:
+    """Hidden states h_1 .. h_T of an LSTM over the T rows of ``x``,
+    started from (h0, c0), as one op.
+
+    Every step evaluates the expressions of ``nn.LstmCell.step`` (gate
+    layout input, forget, output, candidate along 4H), so the outputs are
+    bitwise equal to chained steps. The gates are cached, and backward runs
+    the recurrence through time by hand: the weight gradient is one
+    dZᵀ·[X; H_prev] matmul, and the bias, input, h0 and c0 gradients come
+    from the same pass.
+    """
+    hs = h0.value.shape[0] if h0.value.ndim == 1 else -1
+    if (x.value.ndim != 2 or x.value.shape[0] == 0 or hs < 1 or c0.value.shape != (hs,)
+            or w.value.shape != (4 * hs, x.value.shape[1] + hs) or b.value.shape != (4 * hs,)):
+        _shape_error("lstm_seq (x, w, b, h0, c0)", x, w, b, h0, c0)
+    steps, width = x.value.shape
+    xh = np.empty((steps, width + hs))         # [x_t; h_{t-1}] per row
+    gates = np.empty((steps, 4 * hs))          # i, f, o, g after their nonlinearities
+    cells = np.empty((steps + 1, hs))          # c_0 .. c_T
+    tanh_c = np.empty((steps, hs))
+    out_value = np.empty((steps, hs))
+    xh[:, :width] = x.value
+    h, c = h0.value, c0.value
+    cells[0] = c
+    for t in range(steps):
+        xh[t, width:] = h
+        z = w.value @ xh[t] + b.value
+        gates[t, :3 * hs] = _sigmoid(z[:3 * hs])
+        gates[t, 3 * hs:] = np.tanh(z[3 * hs:])
+        i, f, o, g = gates[t].reshape(4, hs)
+        c = f * c + i * g
+        tanh_c[t] = np.tanh(c)
+        h = o * tanh_c[t]
+        cells[t + 1] = c
+        out_value[t] = h
+    parents = (x, w, b, h0, c0)
+    out = Node(out_value, parents, None, any(p.requires_grad for p in parents), "lstm_seq")
     if out.requires_grad:
         def backprop():
-            gv = out._grad[valid]
-            ga = np.zeros_like(a.value)
-            ga[valid] = pv * (gv - np.dot(gv, pv))
-            a.accum(ga)
+            i, f, o, g = gates.reshape(steps, 4, hs).transpose(1, 0, 2)
+            # per step, dz = local * [dc; dc; dh; dc], where local is fixed
+            # by the forward pass
+            local = np.stack([g * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
+                              tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+            dc_dh = o * (1.0 - tanh_c * tanh_c)
+            w_h = w.value[:, width:].copy()     # contiguous, for the per-step product
+            dz = np.empty((steps, 4 * hs))
+            dz4 = dz.reshape(steps, 4, hs)
+            dh_next, dc_next = np.zeros(hs), np.zeros(hs)
+            for t in range(steps - 1, -1, -1):
+                dh = out._grad[t] + dh_next
+                dc = dh * dc_dh[t] + dc_next
+                np.multiply(local[t], dc, out=dz4[t])
+                np.multiply(local[t, 2], dh, out=dz4[t, 2])
+                dc_next = dc * f[t]
+                dh_next = dz[t] @ w_h
+            w.accum(dz.T @ xh)
+            b.accum(dz.sum(axis=0))
+            if x.requires_grad:
+                x.accum((dz @ w.value)[:, :width])
+            h0.accum(dh_next)
+            c0.accum(dc_next)
         out._backprop = backprop
     return out
 

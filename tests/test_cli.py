@@ -270,3 +270,24 @@ def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys,
     corrupt(ckpt)
     assert main(["predict", "--model", str(ckpt), "--input", str(lang / "test.tsv")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+NOT_UTF8 = b"abc\tabd\tV\n\xff\tx\tV\n"   # line 2 is not UTF-8
+
+
+@pytest.mark.parametrize("argv", [
+    lambda bad, lang, ckpts: ["align", "--data", bad],
+    lambda bad, lang, ckpts: ["eval", "--language", "x", "--gold", bad,
+                              "--pred", str(lang / "dev.tsv")],
+    lambda bad, lang, ckpts: ["eval", "--language", "x", "--gold", str(lang / "dev.tsv"),
+                              "--pred", bad],
+    lambda bad, lang, ckpts: ["predict", "--model", str(ckpts / "HAEM_smart"), "--input", bad],
+    lambda bad, lang, ckpts: ["synth", "--config", bad, "--out", str(lang / "unused")],
+], ids=["align-data", "eval-gold", "eval-pred", "predict-input", "config"])
+def test_non_utf8_input_is_a_data_error(lang, checkpoints, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(NOT_UTF8)
+    assert main(argv(str(bad), lang, checkpoints)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{bad}:2:" in err

@@ -168,3 +168,38 @@ def test_encoder_rejects_empty():
     enc = BiEncoder(ps, "enc", 2, 2, rng)
     with pytest.raises(ValueError, match="nonempty"):
         enc([])
+
+
+def test_lstm_run_is_bitwise_equal_to_chained_steps():
+    """Decoding encodes through run(); its values, and so its predictions,
+    must not depend on the sequence op replacing the step loop."""
+    for seed, (width, hidden, steps) in enumerate([(1, 1, 1), (5, 3, 7), (100, 100, 12),
+                                                    (320, 100, 20), (37, 11, 30)]):
+        ps, rng = make(seed)
+        cell = LstmCell(ps, "lstm", width, hidden, rng)
+        xs = [nc.constant(rng.uniform(-2, 2, size=width)) for _ in range(steps)]
+        state = cell.initial_state()
+        for x, out in zip(xs, cell.run(xs)):
+            h, state = cell.step(x, state)
+            assert np.array_equal(out.value, h.value)
+
+
+def test_lstm_run_gradients_match_chained_steps():
+    ps, rng = make(9)
+    cell = LstmCell(ps, "lstm", 4, 3, rng)
+    xs = [nc.param(rng.uniform(-1, 1, size=4)) for _ in range(6)]
+    weights = [nc.constant(rng.uniform(-1, 1, size=3)) for _ in range(6)]
+
+    def grads(outs):
+        ps.zero_grads()
+        for x in xs:
+            x.zero_grad()
+        nc.backward(nc.addn([nc.dot(o, w) for o, w in zip(outs, weights)]))
+        return [p.grad.copy() for p in ps.nodes() + xs]
+
+    stepped, state = [], cell.initial_state()
+    for x in xs:
+        h, state = cell.step(x, state)
+        stepped.append(h)
+    for got, want in zip(grads(cell.run(xs)), grads(stepped)):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)

@@ -174,6 +174,12 @@ def test_backward_requires_scalar():
         nc.backward(nc.add(x, x))
 
 
+def test_wrong_shaped_gradient_is_an_error():
+    x = nc.param([1.0, 2.0])
+    with pytest.raises(nc.GradError, match="shape"):
+        x.accum(np.ones(3))
+
+
 def test_shape_errors_name_the_op():
     with pytest.raises(ValueError, match="matvec"):
         nc.matvec(nc.constant([[1.0, 2.0]]), nc.constant([1.0, 2.0, 3.0]))
@@ -225,3 +231,97 @@ def test_deep_chain_topological_sort_is_iterative():
         node = nc.smul(1.0, node)
     nc.backward(node)
     assert x.grad == 1.0
+
+
+# --- row-wise (matrix) forms of the ops and the sequence LSTM ---------------
+
+def test_row_gather_grad_check_and_scatter_add():
+    rng = random.Random(11)
+    t = nc.param(rng_array(rng, 4, 3))
+    index = np.array([2, 0, 2, 3])
+    weights = nc.constant(rng_array(rng, 4, 3))
+
+    def f():
+        g = nc.row(t, index)
+        return nc.dot(nc.concat([nc.row(nc.mul(g, weights), k) for k in range(4)]),
+                      nc.constant(np.ones(12)))
+
+    assert nc.grad_check(f, [t]) < 1e-6
+    t.zero_grad()
+    nc.backward(f())
+    assert np.allclose(t.grad[2], weights.value[0] + weights.value[2])  # repeated row adds up
+    assert np.array_equal(t.grad[1], np.zeros(3))                        # unused row stays 0
+    with pytest.raises(IndexError):
+        nc.row(t, np.array([0, 4]))
+
+
+def test_matrix_ops_grad_check():
+    """matvec on a matrix, a bias added to every row, concat along the last
+    axis, vstack, row-wise softmax and one pick per row."""
+    rng = random.Random(12)
+    w = nc.param(rng_array(rng, 5, 4))
+    b = nc.param(rng_array(rng, 5))
+    x = nc.param(rng_array(rng, 3, 2))
+    y = nc.param(rng_array(rng, 3, 2))
+    v = nc.param(rng_array(rng, 4))
+    targets = np.array([4, 0, 2])
+
+    def f():
+        rows = nc.vstack([nc.concat([x, y]), v])              # 4 x 4
+        p = nc.softmax(nc.add(nc.matvec(w, rows), b))          # 4 x 5
+        picked = nc.pick(nc.row(p, np.arange(3)), targets)
+        return nc.dot(nc.log(picked), nc.constant(np.ones(3)))
+
+    assert nc.grad_check(f, [w, b, x, y, v]) < 1e-6
+
+
+def test_matrix_masked_softmax_grad_check_and_zeros():
+    rng = random.Random(13)
+    logits = nc.param(rng_array(rng, 3, 5) * 3)
+    valid = np.array([[True, False, True, True, False],
+                      [False, False, True, False, False],
+                      [True, True, True, True, True]])
+
+    def f():
+        p = nc.masked_softmax(logits, valid)
+        return nc.dot(nc.log(nc.pick(p, np.array([2, 2, 4]))), nc.constant(np.ones(3)))
+
+    assert nc.grad_check(f, [logits]) < 1e-6
+    p = nc.masked_softmax(nc.constant(logits.value), valid).value
+    assert np.all(p[~valid] == 0.0)
+    assert np.allclose(p.sum(axis=1), 1.0)
+    for r in range(3):  # each row is the vector form of the op
+        assert np.allclose(p[r], nc.masked_softmax(nc.constant(logits.value[r]), valid[r]).value)
+    with pytest.raises(ValueError, match="no valid"):
+        nc.masked_softmax(logits, np.array([[True] * 5, [False] * 5, [True] * 5]))
+
+
+def test_matrix_shape_errors_name_the_op():
+    with pytest.raises(ValueError, match="add"):
+        nc.add(nc.constant(np.zeros((2, 3))), nc.constant(np.zeros(2)))
+    with pytest.raises(ValueError, match="concat"):
+        nc.concat([nc.constant(np.zeros((2, 3))), nc.constant(np.zeros((3, 3)))])
+    with pytest.raises(ValueError, match="vstack"):
+        nc.vstack([nc.constant(np.zeros((2, 3))), nc.constant(np.zeros(2))])
+    with pytest.raises(IndexError, match="pick"):
+        nc.pick(nc.constant(np.zeros((2, 3))), np.array([0, 3]))
+    with pytest.raises(ValueError, match="lstm_seq"):
+        nc.lstm_seq(nc.constant(np.zeros((2, 3))), nc.constant(np.zeros((8, 4))),
+                    nc.constant(np.zeros(8)), nc.constant(np.zeros(2)), nc.constant(np.zeros(2)))
+
+
+def test_lstm_seq_grad_check():
+    rng = random.Random(14)
+    hs, width, steps = 3, 2, 5
+    w = nc.param(rng_array(rng, 4 * hs, width + hs))
+    b = nc.param(rng_array(rng, 4 * hs))
+    h0 = nc.param(rng_array(rng, hs))
+    c0 = nc.param(rng_array(rng, hs))
+    x = nc.param(rng_array(rng, steps, width))
+    weights = nc.constant(rng_array(rng, steps * hs))
+
+    def f():
+        out = nc.lstm_seq(x, w, b, h0, c0)
+        return nc.dot(nc.concat([nc.row(out, t) for t in range(steps)]), weights)
+
+    assert nc.grad_check(f, [w, b, h0, c0, x]) < 1e-6
