@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from hardmono import numcore as nc
 from hardmono.hacm import HacmModel
 from hardmono.haem import HaemModel
 from hardmono.oracle import HACM, OracleSequence, write
@@ -41,11 +42,13 @@ def _total_cap(n: int) -> int:
 
 def greedy_decode(model: HacmModel | HaemModel, lemma: str,
                   features: tuple[str, ...]) -> DecodeResult:
+    """Decode without a tape: nothing differentiates the result."""
     if not lemma:
         raise ValueError("empty lemma")
-    if model.arch == HACM:
-        return _decode_hacm(model, lemma, features)
-    return _decode_haem(model, lemma, features)
+    with nc.no_grad():
+        if model.arch == HACM:
+            return _decode_hacm(model, lemma, features)
+        return _decode_haem(model, lemma, features)
 
 
 def _decode_hacm(model: HacmModel, lemma: str, features: tuple[str, ...]) -> DecodeResult:

@@ -134,15 +134,7 @@ class LstmCell:
             raise ValueError(
                 f"lstm step: input shape {x.value.shape} vs expected ({self.input_size},)"
             )
-        h_prev, c_prev = state
-        hs = self.hidden_size
-        z = nc.add(nc.matvec(self.w, nc.concat([x, h_prev])), self.b)
-        i = nc.sigmoid(nc.vslice(z, 0, hs))
-        f = nc.sigmoid(nc.vslice(z, hs, 2 * hs))
-        o = nc.sigmoid(nc.vslice(z, 2 * hs, 3 * hs))
-        g = nc.tanh(nc.vslice(z, 3 * hs, 4 * hs))
-        c = nc.add(nc.mul(f, c_prev), nc.mul(i, g))
-        h = nc.mul(o, nc.tanh(c))
+        h, c = nc.lstm_step(x, self.w, self.b, *state)
         return h, (h, c)
 
     def sequence(self, x: Node) -> Node:

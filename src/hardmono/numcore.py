@@ -9,8 +9,12 @@ Ops work on vectors and, where a loss needs row-wise work, on matrices
 with one time step per row. The teacher-forced training losses of both
 models are built from such whole-sequence ops: ``lstm_seq`` runs an LSTM
 over all rows with a hand-written backward pass through time, and the
-output heads are batched over the rows. Greedy decoding steps the same
-ops one vector at a time.
+output heads are batched over the rows.
+
+Greedy decoding steps the same ops one vector at a time, with
+``lstm_step`` as one op per LSTM step, inside ``no_grad``: there every op
+builds a node with no parents and no backward closure, so no tape is
+kept and each value is freed as soon as the decoder drops it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,20 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 _FINITE_CHECKS = False
+_NO_GRAD = False
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside the block: op results have no parents and no
+    backward closure. Leaves made by ``param`` keep ``requires_grad``."""
+    global _NO_GRAD
+    prev = _NO_GRAD
+    _NO_GRAD = True
+    try:
+        yield
+    finally:
+        _NO_GRAD = prev
 
 
 @contextlib.contextmanager
@@ -57,12 +75,14 @@ class Node:
         self.value = np.asarray(value, dtype=np.float64)
         if _FINITE_CHECKS and not np.all(np.isfinite(self.value)):
             raise FloatingPointError(f"non-finite value in node {name or '(anonymous)'}")
+        if _NO_GRAD and parents:
+            parents, backprop, requires_grad = (), None, False
         self._grad: np.ndarray | None = None
         self._parents = parents
         self._backprop = backprop
         self.requires_grad = requires_grad
         self.name = name
-        self._ran = False
+        self._ran = False        # set once a backward has walked the node
 
     @property
     def grad(self) -> np.ndarray:
@@ -173,11 +193,6 @@ def mul(a: Node, b: Node) -> Node:
     return out
 
 
-def smul(c: float, a: Node) -> Node:
-    """Product with a python constant."""
-    return _unary("smul", a, c * a.value, lambda g: c * g)
-
-
 def scale(s: Node, v: Node) -> Node:
     """Scalar node times tensor node."""
     if s.value.shape != ():
@@ -259,35 +274,26 @@ def vstack(parts: Sequence[Node]) -> Node:
     return out
 
 
-def vslice(a: Node, start: int, stop: int) -> Node:
-    if a.value.ndim != 1 or not (0 <= start <= stop <= a.value.shape[0]):
-        raise ValueError(f"vslice: bad range [{start}:{stop}] for shape {a.value.shape}")
-    out = Node(a.value[start:stop].copy(), (a,), None, a.requires_grad, "vslice")
-    if out.requires_grad:
-        def backprop():
-            g = np.zeros_like(a.value)
-            g[start:stop] = out._grad
-            a.accum(g)
-        out._backprop = backprop
-    return out
-
-
 def row(m: Node, index: int | np.ndarray) -> Node:
     """Row of a 2-D table (embedding lookup). An index array gathers one
     row per entry into a matrix; backward scatter-adds into the rows used.
     A bad index is an error."""
     if m.value.ndim != 2:
         _shape_error("row (2-D table)", m)
-    index = np.asarray(index)
-    if index.ndim > 1 or not np.issubdtype(index.dtype, np.integer):
-        raise IndexError(f"row index must be an integer or a 1-D integer array, got {index!r}")
-    if index.size and not (0 <= index.min() and index.max() < m.value.shape[0]):
+    if type(index) is int or isinstance(index, np.integer):  # the common case, checked cheaply
+        bad = not 0 <= index < m.value.shape[0]
+    else:
+        index = np.asarray(index)
+        if index.ndim > 1 or not np.issubdtype(index.dtype, np.integer):
+            raise IndexError(f"row index must be an integer or a 1-D integer array, got {index!r}")
+        bad = index.size and not (0 <= index.min() and index.max() < m.value.shape[0])
+    if bad:
         raise IndexError(f"row {index} out of range for table {m.value.shape}")
     out = Node(m.value[index].copy(), (m,), None, m.requires_grad, "row")
     if out.requires_grad:
         def backprop():
             g = np.zeros_like(m.value)
-            if index.ndim:
+            if np.ndim(index):
                 np.add.at(g, index, out._grad)
             else:
                 g[index] = out._grad
@@ -328,9 +334,9 @@ def tanh(a: Node) -> Node:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    e = np.exp(np.minimum(v, 0))
-    return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.maximum(v, 0))), e / (1.0 + e))
+    # exp(-|v|) never overflows; it is exp(-v) for v >= 0 and exp(v) below
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Node) -> Node:
@@ -394,16 +400,65 @@ def masked_softmax(a: Node, valid: np.ndarray) -> Node:
     return out
 
 
+def _lstm_row(w: np.ndarray, b: np.ndarray, xh: np.ndarray, c: np.ndarray,
+              gates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One LSTM step on arrays, the kernel of ``lstm_seq`` and ``lstm_step``
+    (gate layout input, forget, output, candidate along 4H). Fills ``gates``
+    with the gates after their nonlinearities and returns the new cell
+    state, its tanh and the new hidden state."""
+    hs = c.shape[0]
+    z = w @ xh + b
+    gates[:3 * hs] = _sigmoid(z[:3 * hs])
+    gates[3 * hs:] = np.tanh(z[3 * hs:])
+    i, f, o, g = gates.reshape(4, hs)
+    c = f * c + i * g
+    tanh_c = np.tanh(c)
+    return c, tanh_c, o * tanh_c
+
+
+def _lstm_backward(parents: tuple[Node, ...], xh: np.ndarray, gates: np.ndarray,
+                   cells: np.ndarray, tanh_c: np.ndarray, dh_out: np.ndarray,
+                   dc_last: np.ndarray) -> None:
+    """Backpropagation through time over the T cached steps of an LSTM op
+    with parents (x, w, b, h0, c0). ``dh_out`` holds the gradient into each
+    step's hidden state, ``dc_last`` the gradient into the last cell state.
+    The weight gradient is one dZᵀ·[X; H_prev] matmul, and the bias, input,
+    h0 and c0 gradients come from the same pass."""
+    x, w, b, h0, c0 = parents
+    steps, hs = tanh_c.shape
+    width = xh.shape[1] - hs
+    i, f, o, g = gates.reshape(steps, 4, hs).transpose(1, 0, 2)
+    # per step, dz = local * [dc; dc; dh; dc], where local is fixed by the
+    # forward pass
+    local = np.stack([g * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
+                      tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+    dc_dh = o * (1.0 - tanh_c * tanh_c)
+    w_h = w.value[:, width:].copy()     # contiguous, for the per-step product
+    dz = np.empty((steps, 4 * hs))
+    dz4 = dz.reshape(steps, 4, hs)
+    dh_next, dc_next = np.zeros(hs), dc_last
+    for t in range(steps - 1, -1, -1):
+        dh = dh_out[t] + dh_next
+        dc = dh * dc_dh[t] + dc_next
+        np.multiply(local[t], dc, out=dz4[t])
+        np.multiply(local[t, 2], dh, out=dz4[t, 2])
+        dc_next = dc * f[t]
+        dh_next = dz[t] @ w_h
+    w.accum(dz.T @ xh)
+    b.accum(dz.sum(axis=0))
+    if x.requires_grad:
+        x.accum((dz @ w.value)[:, :width].reshape(x.value.shape))
+    h0.accum(dh_next)
+    c0.accum(dc_next)
+
+
 def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node) -> Node:
     """Hidden states h_1 .. h_T of an LSTM over the T rows of ``x``,
     started from (h0, c0), as one op.
 
-    Every step evaluates the expressions of ``nn.LstmCell.step`` (gate
-    layout input, forget, output, candidate along 4H), so the outputs are
-    bitwise equal to chained steps. The gates are cached, and backward runs
-    the recurrence through time by hand: the weight gradient is one
-    dZᵀ·[X; H_prev] matmul, and the bias, input, h0 and c0 gradients come
-    from the same pass.
+    Every row runs the kernel shared with ``lstm_step``, so the outputs
+    are bitwise equal to chained steps. The gates are cached, and backward runs the
+    recurrence through time by hand.
     """
     hs = h0.value.shape[0] if h0.value.ndim == 1 else -1
     if (x.value.ndim != 2 or x.value.shape[0] == 0 or hs < 1 or c0.value.shape != (hs,)
@@ -420,44 +475,41 @@ def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node) -> Node:
     cells[0] = c
     for t in range(steps):
         xh[t, width:] = h
-        z = w.value @ xh[t] + b.value
-        gates[t, :3 * hs] = _sigmoid(z[:3 * hs])
-        gates[t, 3 * hs:] = np.tanh(z[3 * hs:])
-        i, f, o, g = gates[t].reshape(4, hs)
-        c = f * c + i * g
-        tanh_c[t] = np.tanh(c)
-        h = o * tanh_c[t]
+        c, tanh_c[t], h = _lstm_row(w.value, b.value, xh[t], c, gates[t])
         cells[t + 1] = c
         out_value[t] = h
     parents = (x, w, b, h0, c0)
     out = Node(out_value, parents, None, any(p.requires_grad for p in parents), "lstm_seq")
     if out.requires_grad:
         def backprop():
-            i, f, o, g = gates.reshape(steps, 4, hs).transpose(1, 0, 2)
-            # per step, dz = local * [dc; dc; dh; dc], where local is fixed
-            # by the forward pass
-            local = np.stack([g * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
-                              tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
-            dc_dh = o * (1.0 - tanh_c * tanh_c)
-            w_h = w.value[:, width:].copy()     # contiguous, for the per-step product
-            dz = np.empty((steps, 4 * hs))
-            dz4 = dz.reshape(steps, 4, hs)
-            dh_next, dc_next = np.zeros(hs), np.zeros(hs)
-            for t in range(steps - 1, -1, -1):
-                dh = out._grad[t] + dh_next
-                dc = dh * dc_dh[t] + dc_next
-                np.multiply(local[t], dc, out=dz4[t])
-                np.multiply(local[t, 2], dh, out=dz4[t, 2])
-                dc_next = dc * f[t]
-                dh_next = dz[t] @ w_h
-            w.accum(dz.T @ xh)
-            b.accum(dz.sum(axis=0))
-            if x.requires_grad:
-                x.accum((dz @ w.value)[:, :width])
-            h0.accum(dh_next)
-            c0.accum(dc_next)
+            _lstm_backward(parents, xh, gates, cells, tanh_c, out._grad, np.zeros(hs))
         out._backprop = backprop
     return out
+
+
+def lstm_step(x: Node, w: Node, b: Node, h: Node, c: Node) -> tuple[Node, Node]:
+    """The hidden and cell states after one LSTM step from (h, c) on the
+    vector ``x``, as one op: the row kernel of ``lstm_seq`` forward, and its
+    backward pass through time over one step, seeded with the gradients
+    into both new states. The op's node holds the two states as rows 0
+    and 1; the returned nodes read them."""
+    hs = h.value.shape[0] if h.value.ndim == 1 else -1
+    if (x.value.ndim != 1 or hs < 1 or c.value.shape != (hs,)
+            or w.value.shape != (4 * hs, x.value.shape[0] + hs) or b.value.shape != (4 * hs,)):
+        _shape_error("lstm_step (x, w, b, h, c)", x, w, b, h, c)
+    xh = np.concatenate([x.value, h.value])[None]   # one row, as in lstm_seq
+    gates = np.empty((1, 4 * hs))
+    cells = np.empty((2, hs))                         # c and the new c
+    cells[0] = c.value
+    cells[1], tanh_c, h_new = _lstm_row(w.value, b.value, xh[0], c.value, gates[0])
+    parents = (x, w, b, h, c)
+    out = Node(np.array([h_new, cells[1]]), parents, None,
+               any(p.requires_grad for p in parents), "lstm_step")
+    if out.requires_grad:
+        def backprop():
+            _lstm_backward(parents, xh, gates, cells, tanh_c[None], out._grad[:1], out._grad[1])
+        out._backprop = backprop
+    return row(out, 0), row(out, 1)
 
 
 def dropout(a: Node, rate: float, rng: np.random.Generator) -> Node:
@@ -493,7 +545,12 @@ def _topo_order(root: Node) -> list[Node]:
 
 
 def backward(loss: Node) -> None:
-    """Populate gradients of every requires_grad node reachable from loss."""
+    """Populate gradients of every requires_grad node reachable from loss.
+
+    The walk consumes the tape: afterwards every interior node has dropped
+    its backward closure, which references the node itself, so reference
+    counting frees the tape without the cyclic GC. A later backward that
+    reaches a consumed node raises GradError."""
     if loss.value.shape != ():
         raise GradError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     if loss._ran:
@@ -501,10 +558,18 @@ def backward(loss: Node) -> None:
     loss._ran = True
     if not loss.requires_grad:
         return
+    order = _topo_order(loss)
+    for node in order:
+        if node._ran and node._parents and node is not loss:
+            raise GradError(f"backward reached {node!r}, consumed by an earlier backward")
     loss.accum(np.array(1.0))
-    for node in reversed(_topo_order(loss)):
+    for node in reversed(order):
         if node._backprop is not None and node._grad is not None:
             node._backprop()
+    for node in order:
+        if node._parents:
+            node._backprop = None
+            node._ran = True
 
 
 def grad_check(

@@ -64,6 +64,8 @@ class TrainConfig:
             raise ValueError(f"unknown setting {self.setting!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout {self.dropout} outside [0, 1)")
+        if not (np.isfinite(self.lr) and self.lr >= 0):   # 0 freezes the weights
+            raise ValueError(f"learning rate {self.lr} must be finite and non-negative")
 
 
 class Adam:

@@ -190,6 +190,15 @@ def test_train_bad_hyperparameters_are_usage_errors(lang):
                  "--epochs", "0"]) == 1
 
 
+@pytest.mark.parametrize("lr", ["-1", "nan", "inf"])
+def test_train_bad_learning_rate_is_a_usage_error(lang, tmp_path, capsys, lr):
+    assert main(["train", "--arch", "HACM", "--train", str(lang / "train.tsv"),
+                 "--dev", str(lang / "dev.tsv"), "--out", str(tmp_path / "m"),
+                 "--lr", lr, *TINY]) == 1
+    assert capsys.readouterr().err.startswith("error: learning rate")
+    assert not (tmp_path / "m").exists()
+
+
 def test_run_end_to_end_deterministic(tmp_path, capsys):
     args = ["run", "--synth", "--synth-seed", "4",
             "--train-size", "8", "--dev-size", "4", "--test-size", "4",

@@ -1,8 +1,11 @@
+import contextlib
+import gc
 import random
 
 import numpy as np
 import pytest
 
+from hardmono import numcore as nc
 from hardmono.align import ALIGNERS
 from hardmono.corpus import CharVocabulary, FeatureAlphabet
 from hardmono.decode import (
@@ -26,6 +29,8 @@ from hardmono.oracle import (
     replay,
     replay_with_trace,
 )
+from hardmono.synth import SynthConfig, generate
+from hardmono.train import TrainConfig, train_model
 
 
 CFG = ModelConfig(hidden=5, embed=4, feat_embed=2, dropout=0.0)
@@ -210,3 +215,105 @@ def test_post_filter_rules():
 
     short_run = post_filter(unfiltered_result("flooog"), "fliegen")
     assert short_run.prediction == "flooog" and not short_run.filtered
+
+
+# --- decoding without a tape ---
+
+VARIANTS = {"HACM": ("HACM", "extended"), "HAEM": ("HAEM", "extended"),
+            "HAEM-basic": ("HAEM", "basic")}
+
+
+@pytest.fixture(scope="module")
+def trained():
+    train, dev, test = generate(SynthConfig(train=24, dev=8, test=8, seed=5))
+    models = {}
+    for name, (arch, variant) in VARIANTS.items():
+        sizes = ModelConfig(hidden=8, embed=6, feat_embed=3, variant=variant)
+        config = TrainConfig(epochs=3, patience=3, lr=0.01, dropout=0.0, seed=1)
+        models[name] = train_model(arch, "smart", train, dev, sizes, config).model
+    queries = [(s.lemma, s.features) for s in dev + test]
+    return models, queries
+
+
+def random_model(name, seed, loop=False):
+    """Random weights; with ``loop``, one large WRITE bias makes decoding
+    run to LENGTH_CAP."""
+    arch, variant = VARIANTS[name]
+    cls = HacmModel if arch == "HACM" else HaemModel
+    m = cls(CharVocabulary(tuple("abfgilnoe")), FeatureAlphabet(("PST", "V")),
+            ModelConfig(hidden=5, embed=4, feat_embed=2, variant=variant),
+            np.random.default_rng(seed))
+    if loop and arch == "HACM":
+        m.gate.b.value[:] = 40.0
+        m.gen.b.value[m.codec.write_id("o")] = 50.0
+    elif loop:
+        m.act_out.b.value[m.codec.write_id("o")] = 50.0
+    return m
+
+
+def decode_recording(model, lemma, features):
+    """greedy_decode plus every distribution it consulted."""
+    seen = []
+    inner = model.distribution
+
+    def distribution(state):
+        dist = inner(state)
+        seen.append(dist)
+        return dist
+
+    model.distribution = distribution
+    try:
+        return greedy_decode(model, lemma, features), seen
+    finally:
+        del model.distribution
+
+
+def assert_same_with_and_without_tape(model, queries, monkeypatch):
+    """Results and every step's distribution are bitwise equal when
+    greedy_decode runs on the tape instead of under no_grad."""
+    without = [decode_recording(model, *q) for q in queries]
+    with monkeypatch.context() as patch:
+        patch.setattr(nc, "no_grad", contextlib.nullcontext)
+        taped = [decode_recording(model, *q) for q in queries]
+    for (r1, d1), (r2, d2) in zip(without, taped):
+        assert r1 == r2
+        assert len(d1) == len(d2)
+        assert not any(a.requires_grad for a in d1) and all(b.requires_grad for b in d2)
+        assert all(np.array_equal(a.value, b.value) for a, b in zip(d1, d2))
+    return [r for r, _ in without]
+
+
+OOV_QUERIES = [("zQuaXe", ("V", "PST")), ("Ärger", ("V",)), ("aXbY", ("N", "V"))]
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_trained_decode_is_identical_without_a_tape(trained, name, monkeypatch):
+    models, queries = trained
+    results = assert_same_with_and_without_tape(models[name], queries + OOV_QUERIES,
+                                                monkeypatch)
+    assert any(r.terminated_by == END_ACTION for r in results)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_random_weight_decode_is_identical_without_a_tape(name, monkeypatch):
+    queries = [("fliegen", ("V", "PST")), ("fog", ("V",))] + OOV_QUERIES
+    for seed in range(3):
+        assert_same_with_and_without_tape(random_model(name, seed), queries, monkeypatch)
+        capped = assert_same_with_and_without_tape(random_model(name, seed, loop=True),
+                                                   queries, monkeypatch)
+        assert all(r.terminated_by == LENGTH_CAP for r in capped)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_decoding_leaves_no_cyclic_garbage(trained, name):
+    model = trained[0][name]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for lemma, features in trained[1][:4] + OOV_QUERIES:
+            greedy_decode(model, lemma, features)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

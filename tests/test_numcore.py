@@ -1,3 +1,4 @@
+import gc
 import random
 
 import numpy as np
@@ -127,10 +128,12 @@ def test_structural_ops_grad_check():
     b = nc.param(rng_array(rng, 3))
     t = nc.param(rng_array(rng, 4, 3))
 
+    inner = nc.constant(((np.arange(11) >= 1) & (np.arange(11) < 9)).astype(float))
+
     def f():
         joined = nc.concat([a, b, nc.row(t, 2)])
-        sliced = nc.vslice(joined, 1, 9)
-        return nc.dot(sliced, sliced)
+        kept = nc.mul(joined, inner)  # entries 1..8 of the 11
+        return nc.dot(kept, kept)
 
     assert nc.grad_check(f, [a, b, t]) < 1e-6
 
@@ -195,6 +198,15 @@ def test_embedding_row_bad_index():
         nc.row(t, 3)
 
 
+def test_row_scalar_index_forms():
+    t = nc.param(np.arange(6.0).reshape(3, 2))
+    for index in (1, np.int64(1), np.array(1)):
+        assert np.array_equal(nc.row(t, index).value, [2.0, 3.0])
+    for bad in (-1, np.int32(3), True, 1.0):
+        with pytest.raises(IndexError):
+            nc.row(t, bad)
+
+
 def test_gradient_accumulates_across_reuse():
     x = nc.param(3.0)
     nc.backward(nc.add(nc.mul(x, x), nc.mul(x, x)))  # d/dx 2x^2 = 4x
@@ -228,7 +240,7 @@ def test_deep_chain_topological_sort_is_iterative():
     x = nc.param(1.0)
     node = x
     for _ in range(5000):
-        node = nc.smul(1.0, node)
+        node = nc.neg(node)
     nc.backward(node)
     assert x.grad == 1.0
 
@@ -325,3 +337,95 @@ def test_lstm_seq_grad_check():
         return nc.dot(nc.concat([nc.row(out, t) for t in range(steps)]), weights)
 
     assert nc.grad_check(f, [w, b, h0, c0, x]) < 1e-6
+
+
+def test_lstm_step_grad_check_into_both_states():
+    """The fused step's gradients, including those into the incoming h and
+    c, with a loss that reads both new states."""
+    rng = random.Random(15)
+    hs, width = 3, 2
+    w = nc.param(rng_array(rng, 4 * hs, width + hs))
+    b = nc.param(rng_array(rng, 4 * hs))
+    h = nc.param(rng_array(rng, hs))
+    c = nc.param(rng_array(rng, hs))
+    x = nc.param(rng_array(rng, width))
+    wh, wc = nc.constant(rng_array(rng, hs)), nc.constant(rng_array(rng, hs))
+
+    def f():
+        h1, c1 = nc.lstm_step(x, w, b, h, c)
+        h2, c2 = nc.lstm_step(x, w, b, h1, c1)
+        return nc.add(nc.dot(h2, wh), nc.dot(nc.add(c1, c2), wc))
+
+    assert nc.grad_check(f, [w, b, h, c, x]) < 1e-6
+    with pytest.raises(ValueError, match="lstm_step"):
+        nc.lstm_step(nc.constant(np.zeros(3)), w, b, h, c)
+
+
+def test_no_grad_builds_no_tape():
+    w = nc.param(np.eye(2))
+    with nc.no_grad():
+        out = nc.tanh(nc.matvec(w, nc.constant([0.5, -1.0])))
+        leaf = nc.param([1.0])
+    assert out._parents == () and out._backprop is None and not out.requires_grad
+    assert np.allclose(out.value, np.tanh([0.5, -1.0]))
+    assert leaf.requires_grad and w.requires_grad
+    on_tape = nc.tanh(nc.matvec(w, nc.constant([0.5, -1.0])))
+    assert on_tape.requires_grad and on_tape._backprop is not None
+    assert np.array_equal(on_tape.value, out.value)
+
+
+def test_no_grad_restores_the_flag_when_its_block_raises():
+    with pytest.raises(KeyError):
+        with nc.no_grad():
+            raise KeyError("boom")
+    assert nc.tanh(nc.param([0.5])).requires_grad
+    with nc.no_grad():
+        with nc.no_grad():
+            pass
+        assert not nc.tanh(nc.param([0.5])).requires_grad
+
+
+def test_backward_frees_the_tape_without_the_cyclic_gc():
+    rng = random.Random(17)
+    w = nc.param(rng_array(rng, 3, 3))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        h = nc.constant(rng_array(rng, 3))
+        for _ in range(5):
+            h = nc.sigmoid(nc.matvec(w, h))
+        loss = nc.dot(h, h)
+        nc.backward(loss)
+        del h, loss
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_backward_reaching_a_consumed_node_raises():
+    x = nc.param([0.3, -0.2])
+    h = nc.tanh(x)
+    nc.backward(nc.dot(h, h))
+    first = x.grad.copy()
+    with pytest.raises(nc.GradError, match="consumed"):
+        nc.backward(nc.dot(h, nc.constant([1.0, 1.0])))
+    assert np.array_equal(x.grad, first)  # the refused walk routed nothing
+
+
+def _two_exp_sigmoid(v):
+    """The sigmoid as computed before the one-exp form: the reference."""
+    e = np.exp(np.minimum(v, 0))
+    return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.maximum(v, 0))), e / (1.0 + e))
+
+
+def test_one_exp_sigmoid_is_bitwise_the_two_exp_form():
+    rng = np.random.default_rng(18)
+    tiny = np.finfo(float).tiny
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 745.0, -745.0,
+                        tiny / 4, -tiny / 4, 5e-324, -5e-324, tiny, -tiny])
+    for v in [special] + [rng.normal(scale=s, size=100_000) for s in (0.1, 1, 10, 100, 1000)]:
+        with np.errstate(over="ignore"):
+            got, want = nc._sigmoid(v), _two_exp_sigmoid(v)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -45,6 +45,12 @@ def test_config_validation():
         TrainConfig(dropout=1.0)
 
 
+@pytest.mark.parametrize("lr", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_config_rejects_bad_learning_rate(lr):
+    with pytest.raises(ValueError, match="learning rate"):
+        TrainConfig(lr=lr)
+
+
 def test_adam_minimizes_quadratic():
     x = nc.param(np.array([10.0]))
     target = nc.constant(np.array([3.0]))
@@ -60,7 +66,7 @@ def test_adam_minimizes_quadratic():
 def test_adam_first_step_size_is_lr():
     x = nc.param(np.array([0.0]))
     optimizer = Adam([x], lr=0.01, clip_norm=0.0)
-    nc.backward(nc.smul(7.0, nc.pick(x, 0)))
+    nc.backward(nc.dot(nc.constant([7.0]), x))
     optimizer.step()
     assert float(x.value[0]) == pytest.approx(-0.01, rel=1e-6)
 
@@ -70,7 +76,7 @@ def test_clipping_equalizes_huge_gradients():
     for scale in (1e3, 1e9):
         x = nc.param(np.array([0.0]))
         optimizer = Adam([x], lr=0.01, clip_norm=1.0)
-        nc.backward(nc.smul(scale, nc.pick(x, 0)))
+        nc.backward(nc.dot(nc.constant([scale]), x))
         optimizer.step()
         outcomes.append(float(x.value[0]))
     assert outcomes[0] == pytest.approx(outcomes[1], rel=1e-12)
