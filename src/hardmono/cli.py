@@ -227,6 +227,11 @@ def _resolve_counts(args) -> dict[tuple[str, str], int]:
 
 
 def cmd_run(args) -> int:
+    # a bad configuration is rejected before anything is written
+    model_config, train_config = _model_config(args), _train_config(args)
+    counts = _resolve_counts(args)
+    if not args.synth and not (args.train and args.dev and args.test):
+        raise DataError("run needs --train/--dev/--test, or --synth")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -238,14 +243,11 @@ def cmd_run(args) -> int:
                                            test=args.test_size))
         train_path, dev_path, test_path = paths["train"], paths["dev"], paths["test"]
     else:
-        if not (args.train and args.dev and args.test):
-            raise DataError("run needs --train/--dev/--test, or --synth")
         train_path, dev_path, test_path = args.train, args.dev, args.test
 
     train = _labeled(parse_dataset(train_path), train_path)
     dev = _labeled(parse_dataset(dev_path), dev_path)
     test = parse_dataset(test_path, has_form=not args.no_form)
-    counts = _resolve_counts(args)
 
     manifest = {
         "language": args.language,
@@ -261,8 +263,7 @@ def cmd_run(args) -> int:
     }
     _write_json(out / "manifest.json", manifest)
 
-    results = train_population(train, dev, _model_config(args),
-                               _train_config(args), counts=counts)
+    results = train_population(train, dev, model_config, train_config, counts=counts)
     pool = ModelPool()
     models_dir = out / "models"
     for result in results:

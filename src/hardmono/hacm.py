@@ -51,7 +51,7 @@ class HacmContext:
     """Per-sample constants: encoded frame, feature vector, mode."""
 
     lemma: str
-    frame: tuple[Node, ...]      # h_0 .. h_{n+1} over BOS + lemma + EOS
+    frame: Node                  # rows h_0 .. h_{n+1} over BOS + lemma + EOS
     feat_vec: Node
 
     @property
@@ -67,7 +67,6 @@ class HacmState:
     ex: HacmExecutor         # owns the attention index
     lstm: tuple[Node, Node]
     s: Node | None           # decoder output s_t; None before the first step
-    prev_id: int | None
     prev_emb: Node | None
 
     @property
@@ -109,16 +108,16 @@ class HacmModel:
                  for s in range(self.feats.num_slots)]
         return nc.concat(parts)
 
-    def _frame_ids(self, lemma: str) -> list[int]:
-        """Character ids of the BOS + lemma + EOS frame."""
+    def _frame(self, lemma: str) -> Node:
+        """The encoded BOS + lemma + EOS frame, one row per position."""
         if not lemma:
             raise ValueError("empty lemma")
-        return [self.vocab.BOS_ID] + [self.vocab.id_of(c) for c in lemma] + [self.vocab.EOS_ID]
+        ids = [self.vocab.BOS_ID] + [self.vocab.id_of(c) for c in lemma] + [self.vocab.EOS_ID]
+        return self.encoder(self.char_emb(np.array(ids)))
 
     def start(self, lemma: str, features: tuple[str, ...]) -> HacmState:
-        frame = tuple(self.encoder([self.char_emb(i) for i in self._frame_ids(lemma)]))
-        ctx = HacmContext(lemma, frame, self.feature_vector(features))
-        return HacmState(ctx, HacmExecutor(lemma), self.decoder.initial_state(), None, None, None)
+        ctx = HacmContext(lemma, self._frame(lemma), self.feature_vector(features))
+        return HacmState(ctx, HacmExecutor(lemma), self.decoder.initial_state(), None, None)
 
     # --- one transition ---
 
@@ -128,9 +127,9 @@ class HacmModel:
         ctx = state.ctx
         ex = state.ex.apply(self.codec.action_of(action_id))
         emb = self.act_emb(action_id)
-        x = nc.concat([emb, ctx.frame[ex.i], ctx.feat_vec])
+        x = nc.concat([emb, nc.row(ctx.frame, ex.i), ctx.feat_vec])
         s, lstm = self.decoder.step(x, state.lstm)
-        return replace(state, ex=ex, lstm=lstm, s=s, prev_id=action_id, prev_emb=emb)
+        return replace(state, ex=ex, lstm=lstm, s=s, prev_emb=emb)
 
     def copy_action_id(self, state: HacmState) -> int | None:
         """Action id equivalent to copying the attended frame symbol; None
@@ -156,14 +155,21 @@ class HacmModel:
         copy_id = self.copy_action_id(state)
         if copy_id is None:
             raise ValueError(f"attended character {self.attended_oov(state)!r} has no action id")
-        p_gen = nc.softmax(self.gen(state.s))
-        gate_in = nc.concat([state.ctx.frame[state.i], state.ctx.feat_vec,
-                             state.prev_emb, state.s])
-        w = nc.sigmoid(nc.pick(self.gate(gate_in), 0))
-        point = np.zeros(self.codec.size)
-        point[copy_id] = 1.0
+        return self._mixture(nc.row(state.ctx.frame, state.i), state.ctx.feat_vec,
+                             state.prev_emb, state.s, copy_id)
+
+    def _mixture(self, attended: Node, feats: Node, prev_emb: Node, s: Node,
+                 copy_ids: int | np.ndarray) -> Node:
+        """The output head, w * P_gen + (1 - w) * onehot(copy), on one
+        decoder step (vectors and one copy id) or on T steps (T-row
+        matrices and T copy ids, one distribution per row)."""
+        p_gen = nc.softmax(self.gen(s))
+        gate = self.gate(nc.concat([attended, feats, prev_emb, s]))
+        w = nc.sigmoid(nc.pick(gate, np.zeros(s.shape[:-1], dtype=int)))
+        point = np.arange(self.codec.size) == np.asarray(copy_ids)[..., None]
         return nc.add(nc.scale(w, p_gen),
-                      nc.scale(nc.sub(nc.constant(1.0), w), nc.constant(point)))
+                      nc.scale(nc.sub(nc.constant(np.ones(w.shape)), w),
+                               nc.constant(point.astype(float))))
 
     # --- training objective ---
 
@@ -182,7 +188,7 @@ class HacmModel:
         actions = oracle.actions
         if oracle.inventory != HACM or len(actions) < 2 or actions[0].tag != "BOS":
             raise ValueError("oracle must be a BOS-led write/step sequence")
-        frame_ids = self._frame_ids(lemma)
+        frame = self._frame(lemma)
         if training and rng is None:
             raise ValueError("training mode needs a dropout generator")
         # replay: step t consumes action t-1 and predicts action t
@@ -198,12 +204,10 @@ class HacmModel:
             prev_ids.append(prev)
             positions.append(ex.i)
             targets.append(target)
-            copies.append(target == copy_id)
+            copies.append(copy_id)
             prev = target
         steps = len(targets)
-        targets = np.array(targets)
 
-        frame = self.encoder.encode(self.char_emb(np.array(frame_ids)))
         attended = nc.row(frame, np.array(positions))
         feats = nc.vstack([self.feature_vector(features)] * steps)
         prev_emb = self.act_emb(np.array(prev_ids))
@@ -211,10 +215,6 @@ class HacmModel:
         if training and self.config.dropout > 0:
             x = nc.dropout(x, self.config.dropout, rng)
         s = self.decoder.sequence(x)
-        p_gen = nc.pick(nc.softmax(self.gen(s)), targets)
-        gate = self.gate(nc.concat([attended, feats, prev_emb, s]))
-        w = nc.sigmoid(nc.pick(gate, np.zeros(steps, dtype=int)))
-        is_copy = nc.constant(np.array(copies, dtype=float))
-        ones = nc.constant(np.ones(steps))
-        p = nc.add(nc.mul(w, p_gen), nc.mul(nc.sub(ones, w), is_copy))
-        return nc.neg(nc.dot(ones, nc.log(p)))
+        p = nc.pick(self._mixture(attended, feats, prev_emb, s, np.array(copies)),
+                    np.array(targets))
+        return nc.neg(nc.dot(nc.constant(np.ones(steps)), nc.log(p)))

@@ -34,8 +34,7 @@ from hardmono.oracle import HAEM, Action, ActionCodec, HaemExecutor, OracleSeque
 @dataclass(frozen=True)
 class HaemContext:
     lemma: str
-    encoded: tuple[Node, ...]    # h_1 .. h_n over the bare lemma
-    end_vec: Node                # stands in for h_{n+1}
+    encoded: Node                # rows h_1 .. h_n over the bare lemma, then the end vector
     feat_vec: Node               # multi-hot indicator, constant
 
     @property
@@ -101,11 +100,16 @@ class HaemModel:
             vec[slot] = 1.0
         return nc.constant(vec)
 
-    def start(self, lemma: str, features: tuple[str, ...]) -> HaemState:
+    def _encode(self, lemma: str) -> Node:
+        """Rows h_1 .. h_n over the bare lemma, then the learned
+        end-of-lemma vector as row n, which stands in for h_{n+1}."""
         if not lemma:
             raise ValueError("empty lemma")
-        encoded = tuple(self.encoder([self.char_emb(self.vocab.id_of(c)) for c in lemma]))
-        ctx = HaemContext(lemma, encoded, self.end_vec, self.feature_indicator(features))
+        ids = np.array([self.vocab.id_of(c) for c in lemma])
+        return nc.vstack([self.encoder(self.char_emb(ids)), self.end_vec])
+
+    def start(self, lemma: str, features: tuple[str, ...]) -> HaemState:
+        ctx = HaemContext(lemma, self._encode(lemma), self.feature_indicator(features))
         y0 = (self.lstm_y.h0, self.lstm_y.initial_state())
         a0 = (self.lstm_a.h0, self.lstm_a.initial_state()) if self.extended else None
         d0 = (self.lstm_d.h0, self.lstm_d.initial_state()) if self.extended else None
@@ -127,12 +131,15 @@ class HaemModel:
         if state.done:
             raise ValueError("distribution after STOP")
         ctx = state.ctx
-        h_i = ctx.encoded[state.i - 1] if state.ex.can_advance() else ctx.end_vec
-        parts = [state.y[0], h_i, ctx.feat_vec]
+        parts = [state.y[0], nc.row(ctx.encoded, state.i - 1), ctx.feat_vec]
         if self.extended:
             parts += [state.a[0], state.d[0]]
-        s = nc.relu(self.state_proj(nc.concat(parts)))
-        return nc.masked_softmax(self.act_out(s), self.valid_mask(state))
+        return self._scores(nc.concat(parts), self.valid_mask(state))
+
+    def _scores(self, x: Node, valid: np.ndarray) -> Node:
+        """The output head on one state input ``x`` or on one per row,
+        masked to the valid actions."""
+        return nc.masked_softmax(self.act_out(nc.relu(self.state_proj(x))), valid)
 
     # --- transitions ---
 
@@ -173,12 +180,11 @@ class HaemModel:
         actions = oracle.actions
         if oracle.inventory != HAEM or not actions or actions[-1].tag != "STOP":
             raise ValueError("oracle must be a STOP-terminated edit sequence")
-        if not lemma:
-            raise ValueError("empty lemma")
+        encoded = self._encode(lemma)
         if training and rng is None:
             raise ValueError("training mode needs a dropout generator")
         # replay: per step, the state before its action (y and d as rows of
-        # the stacked states below, h_i as a row of [h_1 .. h_n; end])
+        # the stacked states below, h_i as a row of encoded)
         targets, positions, valid, y_rows, d_rows = [], [], [], [], []
         y_ids: list[int] = []
         d_runs: list[list[int]] = [[]]
@@ -204,10 +210,8 @@ class HaemModel:
                 d_runs.append([])
         steps = len(targets)
 
-        lemma_ids = np.array([self.vocab.id_of(c) for c in lemma])
-        encoded = self.encoder.encode(self.char_emb(lemma_ids))
         parts = [nc.row(self._states(self.lstm_y, self.char_emb, [y_ids]), np.array(y_rows)),
-                 nc.row(nc.vstack([encoded, self.end_vec]), np.array(positions)),
+                 nc.row(encoded, np.array(positions)),
                  nc.constant(np.tile(self.feature_indicator(features).value, (steps, 1)))]
         if self.extended:
             # the action history before step t is exactly row t
@@ -216,8 +220,7 @@ class HaemModel:
         x = nc.concat(parts)
         if training and self.config.dropout > 0:
             x = nc.dropout(x, self.config.dropout, rng)
-        s = nc.relu(self.state_proj(x))
-        p = nc.pick(nc.masked_softmax(self.act_out(s), np.array(valid)), np.array(targets))
+        p = nc.pick(self._scores(x, np.array(valid)), np.array(targets))
         return nc.neg(nc.dot(nc.constant(np.ones(steps)), nc.log(p)))
 
     @staticmethod

@@ -1,6 +1,10 @@
 """Neural layers: parameter registry, embeddings, linear maps, LSTM cells,
 and a bidirectional encoder.
 
+Layers take one input vector (a decoding step) or a matrix with one input
+per row (a training loss over a whole sequence). The encoder has one call
+for both, a matrix of inputs in and a matrix of positions out.
+
 All weights initialize uniform(-0.1, 0.1) from the caller's generator;
 biases start at zero except the LSTM forget gate, which starts at +1 so
 early training doesn't wash out the cell state.
@@ -87,11 +91,9 @@ class EmbeddingTable:
                  rng: np.random.Generator):
         if num_symbols < 1 or dim < 1:
             raise ValueError(f"embedding table {name!r} needs positive sizes")
-        self.num_symbols = num_symbols
-        self.dim = dim
         self.table = params.uniform(name, (num_symbols, dim), rng)
 
-    def __call__(self, symbol_id: int) -> Node:
+    def __call__(self, symbol_id: int | np.ndarray) -> Node:
         return nc.row(self.table, symbol_id)
 
 
@@ -99,7 +101,6 @@ class Linear:
     def __init__(self, params: ParamSet, name: str, in_size: int, out_size: int,
                  rng: np.random.Generator):
         self.in_size = in_size
-        self.out_size = out_size
         self.w = params.uniform(f"{name}.w", (out_size, in_size), rng)
         self.b = params.zeros(f"{name}.b", (out_size,))
 
@@ -117,7 +118,6 @@ class LstmCell:
     def __init__(self, params: ParamSet, name: str, input_size: int, hidden_size: int,
                  rng: np.random.Generator):
         self.input_size = input_size
-        self.hidden_size = hidden_size
         h = hidden_size
         self.w = params.uniform(f"{name}.w", (4 * h, input_size + h), rng)
         bias = np.zeros(4 * h)
@@ -142,13 +142,6 @@ class LstmCell:
         the learned state, as one op."""
         return nc.lstm_seq(x, self.w, self.b, self.h0, self.c0)
 
-    def run(self, xs: list[Node]) -> list[Node]:
-        """Outputs for a whole sequence, starting from the learned state."""
-        if not xs:
-            return []
-        out = self.sequence(nc.vstack(xs))
-        return [nc.row(out, t) for t in range(len(xs))]
-
     @staticmethod
     def param_count(input_size: int, hidden_size: int) -> int:
         """4H(in+H) weights + 4H biases + 2H learned initial state."""
@@ -161,21 +154,16 @@ class BiEncoder:
 
     def __init__(self, params: ParamSet, name: str, input_size: int, hidden_size: int,
                  rng: np.random.Generator):
-        self.hidden_size = hidden_size
         self.fwd = LstmCell(params, f"{name}.fwd", input_size, hidden_size, rng)
         self.bwd = LstmCell(params, f"{name}.bwd", input_size, hidden_size, rng)
 
-    def encode(self, x: Node) -> Node:
+    def __call__(self, x: Node) -> Node:
         """Row i is [forward_i; backward_i] for the rows of ``x``."""
+        if x.value.shape[0] == 0:
+            raise ValueError("encoder needs a nonempty input sequence")
         back = np.arange(x.value.shape[0])[::-1]
         bwd = nc.row(self.bwd.sequence(nc.row(x, back)), back)
         return nc.concat([self.fwd.sequence(x), bwd])
-
-    def __call__(self, xs: list[Node]) -> list[Node]:
-        if not xs:
-            raise ValueError("encoder needs a nonempty input sequence")
-        out = self.encode(nc.vstack(xs))
-        return [nc.row(out, i) for i in range(len(xs))]
 
     @staticmethod
     def param_count(input_size: int, hidden_size: int) -> int:

@@ -8,8 +8,8 @@ parents. Gradients are float64 throughout.
 Ops work on vectors and, where a loss needs row-wise work, on matrices
 with one time step per row. The teacher-forced training losses of both
 models are built from such whole-sequence ops: ``lstm_seq`` runs an LSTM
-over all rows with a hand-written backward pass through time, and the
-output heads are batched over the rows.
+over all rows with a hand-written backward pass through time, and each
+model's output head runs on all rows at once.
 
 Greedy decoding steps the same ops one vector at a time, with
 ``lstm_step`` as one op per LSTM step, inside ``no_grad``: there every op
@@ -152,26 +152,6 @@ def add(a: Node, b: Node) -> Node:
     return out
 
 
-def addn(nodes: Sequence[Node]) -> Node:
-    """Sum of same-shaped nodes (loss accumulation over time steps)."""
-    if not nodes:
-        raise ValueError("addn of nothing")
-    shape = nodes[0].value.shape
-    for n in nodes[1:]:
-        if n.value.shape != shape:
-            _shape_error("addn", nodes[0], n)
-    total = nodes[0].value.copy()
-    for n in nodes[1:]:
-        total += n.value
-    out = Node(total, tuple(nodes), None, any(n.requires_grad for n in nodes), "addn")
-    if out.requires_grad:
-        def backprop():
-            for n in nodes:
-                n.accum(out._grad)
-        out._backprop = backprop
-    return out
-
-
 def neg(a: Node) -> Node:
     return _unary("neg", a, -a.value, lambda g: -g)
 
@@ -180,28 +160,19 @@ def sub(a: Node, b: Node) -> Node:
     return add(a, neg(b))
 
 
-def mul(a: Node, b: Node) -> Node:
-    """Elementwise product of same-shaped tensors."""
-    if a.value.shape != b.value.shape:
-        _shape_error("mul", a, b)
-    out = Node(a.value * b.value, (a, b), None, a.requires_grad or b.requires_grad, "mul")
-    if out.requires_grad:
-        def backprop():
-            a.accum(out._grad * b.value)
-            b.accum(out._grad * a.value)
-        out._backprop = backprop
-    return out
-
-
 def scale(s: Node, v: Node) -> Node:
-    """Scalar node times tensor node."""
-    if s.value.shape != ():
-        _shape_error("scale(scalar, tensor): first operand", s)
-    out = Node(s.value * v.value, (s, v), None, s.requires_grad or v.requires_grad, "scale")
+    """Scalar node times tensor node; a vector ``s`` scales each row of a
+    matrix ``v`` by its own entry, as ``add`` adds a bias to every row."""
+    rows = s.value.ndim == 1 and v.value.ndim == 2 and s.value.shape[0] == v.value.shape[0]
+    if s.value.shape != () and not rows:
+        _shape_error("scale (a scalar, or one per row of a matrix)", s, v)
+    k = s.value[:, None] if rows else s.value
+    out = Node(k * v.value, (s, v), None, s.requires_grad or v.requires_grad, "scale")
     if out.requires_grad:
         def backprop():
-            s.accum(np.sum(out._grad * v.value))
-            v.accum(out._grad * s.value)
+            gv = out._grad * v.value
+            s.accum(gv.sum(axis=1) if rows else np.sum(gv))
+            v.accum(out._grad * k)
         out._backprop = backprop
     return out
 
@@ -326,11 +297,6 @@ def pick(a: Node, index: int | np.ndarray) -> Node:
             a.accum(g)
         out._backprop = backprop
     return out
-
-
-def tanh(a: Node) -> Node:
-    t = np.tanh(a.value)
-    return _unary("tanh", a, t, lambda g: g * (1.0 - t * t))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:

@@ -199,6 +199,20 @@ def test_train_bad_learning_rate_is_a_usage_error(lang, tmp_path, capsys, lr):
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--synth", "--epochs", "0"], 1),
+    (["--synth", "--hidden", "0"], 1),
+    (["--synth", "--hacm-smart", "-1"], 2),
+    (["--train", "t.tsv"], 2),
+], ids=["epochs-0", "hidden-0", "negative-count", "no-data"])
+def test_run_rejects_a_bad_config_before_writing(tmp_path, capsys, flags, code):
+    argv = ["run", "--out", str(tmp_path / "d"), "--train-size", "4", "--dev-size", "2",
+            "--test-size", "2", *TINY, *flags]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "d").exists()
+
+
 def test_run_end_to_end_deterministic(tmp_path, capsys):
     args = ["run", "--synth", "--synth-seed", "4",
             "--train-size", "8", "--dev-size", "4", "--test-size", "4",

@@ -38,7 +38,7 @@ def build(arch, dropout=0.0, seed=0):
 
 
 def stepwise_loss(model, lemma, features, oracle):
-    """The reference: one tape op chain per action, summed with addn."""
+    """The reference: one tape op chain per action, summed with chained add."""
     losses = []
     state = model.start(lemma, features)
     if isinstance(model, HacmModel):
@@ -52,7 +52,10 @@ def stepwise_loss(model, lemma, features, oracle):
             dist = model.distribution(state)
             losses.append(nc.neg(nc.log(nc.pick(dist, model.codec.id_of(action)))))
             state = model.apply(state, action)
-    return nc.addn(losses)
+    total = losses[0]
+    for loss in losses[1:]:
+        total = nc.add(total, loss)
+    return total
 
 
 def loss_and_grads(model, build_loss):

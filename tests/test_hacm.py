@@ -130,7 +130,7 @@ def test_copy_mass_lower_bound():
     for _ in range(100):
         state = random_reachable_state(m, rng)
         copy_id = m.copy_action_id(state)
-        gate_in = nc.concat([state.ctx.frame[state.i], state.ctx.feat_vec,
+        gate_in = nc.concat([nc.row(state.ctx.frame, state.i), state.ctx.feat_vec,
                              state.prev_emb, state.s])
         w = float(nc.sigmoid(nc.pick(m.gate(gate_in), 0)).value)
         p = m.distribution(state).value

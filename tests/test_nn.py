@@ -88,8 +88,8 @@ def test_lstm_chained_steps_grad_check():
     xs = [nc.constant(rng.uniform(-1, 1, size=2)) for _ in range(5)]
 
     def f():
-        outs = cell.run(xs)
-        return nc.dot(outs[-1], outs[-1])
+        last = nc.row(cell.sequence(nc.vstack(xs)), len(xs) - 1)
+        return nc.dot(last, last)
 
     assert nc.grad_check(f, ps.nodes()) < 1e-6
 
@@ -97,8 +97,8 @@ def test_lstm_chained_steps_grad_check():
 def test_lstm_gradient_flows_to_initial_state():
     ps, rng = make(4)
     cell = LstmCell(ps, "lstm", 2, 3, rng)
-    outs = cell.run([nc.constant(rng.uniform(-1, 1, size=2)) for _ in range(3)])
-    nc.backward(nc.dot(outs[-1], outs[-1]))
+    last = nc.row(cell.sequence(nc.constant(rng.uniform(-1, 1, size=(3, 2)))), 2)
+    nc.backward(nc.dot(last, last))
     assert np.any(cell.h0.grad != 0)
     assert np.any(cell.c0.grad != 0)
 
@@ -115,22 +115,19 @@ def test_param_count_formulas():
 def test_bi_encoder_shapes_and_length():
     ps, rng = make(5)
     enc = BiEncoder(ps, "enc", 3, 4, rng)
-    xs = [nc.constant(rng.uniform(-1, 1, size=3)) for _ in range(6)]
-    out = enc(xs)
-    assert len(out) == 6
-    assert all(o.value.shape == (8,) for o in out)
-    single = enc([xs[0]])
-    assert len(single) == 1 and single[0].value.shape == (8,)
+    xs = rng.uniform(-1, 1, size=(6, 3))
+    assert enc(nc.constant(xs)).value.shape == (6, 8)
+    assert enc(nc.constant(xs[:1])).value.shape == (1, 8)
 
 
 def test_bi_encoder_position_sees_whole_input():
     ps, rng = make(6)
     enc = BiEncoder(ps, "enc", 2, 3, rng)
-    xs = [rng.uniform(-1, 1, size=2) for _ in range(4)]
-    base = enc([nc.constant(x) for x in xs])[0].value
-    xs2 = list(xs)
-    xs2[-1] = xs2[-1] + 1.0  # perturb the far end; position 0 must move
-    changed = enc([nc.constant(x) for x in xs2])[0].value
+    xs = rng.uniform(-1, 1, size=(4, 2))
+    base = enc(nc.constant(xs)).value[0]
+    xs2 = xs.copy()
+    xs2[-1] += 1.0  # perturb the far end; position 0 must move
+    changed = enc(nc.constant(xs2)).value[0]
     assert not np.allclose(base, changed)
 
 
@@ -144,44 +141,44 @@ def test_bi_encoder_directional_wiring():
     enc.bwd.b.value = enc.fwd.b.value.copy()
     enc.bwd.h0.value = enc.fwd.h0.value.copy()
     enc.bwd.c0.value = enc.fwd.c0.value.copy()
-    xs = [rng.uniform(-1, 1, size=2) for _ in range(5)]
-    fwd_run = enc([nc.constant(x) for x in xs])
-    rev_run = enc([nc.constant(x) for x in reversed(xs)])
+    xs = rng.uniform(-1, 1, size=(5, 2))
+    fwd_run = enc(nc.constant(xs)).value
+    rev_run = enc(nc.constant(xs[::-1])).value
     h = 3
     for i in range(5):
-        a = fwd_run[i].value
-        b = rev_run[4 - i].value
+        a = fwd_run[i]
+        b = rev_run[4 - i]
         assert np.allclose(a[:h], b[h:]) and np.allclose(a[h:], b[:h])
 
 
 def test_encoder_outputs_finite_for_bounded_inputs():
     ps, rng = make(8)
     enc = BiEncoder(ps, "enc", 3, 4, rng)
-    xs = [nc.constant(np.full(3, 10.0)) for _ in range(10)]
     with nc.finite_checks():
-        out = enc(xs)
-    assert all(np.all(np.isfinite(o.value)) for o in out)
+        out = enc(nc.constant(np.full((10, 3), 10.0)))
+    assert np.all(np.isfinite(out.value))
 
 
 def test_encoder_rejects_empty():
     ps, rng = make()
     enc = BiEncoder(ps, "enc", 2, 2, rng)
     with pytest.raises(ValueError, match="nonempty"):
-        enc([])
+        enc(nc.constant(np.zeros((0, 2))))
 
 
 def test_lstm_run_is_bitwise_equal_to_chained_steps():
-    """Decoding encodes through run(); its values, and so its predictions,
-    must not depend on the sequence op replacing the step loop."""
+    """The losses run an LSTM as one sequence op and decoding steps it; the
+    two must give the same values, so that training and decoding agree."""
     for seed, (width, hidden, steps) in enumerate([(1, 1, 1), (5, 3, 7), (100, 100, 12),
                                                     (320, 100, 20), (37, 11, 30)]):
         ps, rng = make(seed)
         cell = LstmCell(ps, "lstm", width, hidden, rng)
         xs = [nc.constant(rng.uniform(-2, 2, size=width)) for _ in range(steps)]
         state = cell.initial_state()
-        for x, out in zip(xs, cell.run(xs)):
+        outs = cell.sequence(nc.vstack(xs))
+        for t, x in enumerate(xs):
             h, state = cell.step(x, state)
-            assert np.array_equal(out.value, h.value)
+            assert np.array_equal(nc.row(outs, t).value, h.value)
 
 
 def test_lstm_run_gradients_match_chained_steps():
@@ -194,12 +191,17 @@ def test_lstm_run_gradients_match_chained_steps():
         ps.zero_grads()
         for x in xs:
             x.zero_grad()
-        nc.backward(nc.addn([nc.dot(o, w) for o, w in zip(outs, weights)]))
+        total = nc.dot(outs[0], weights[0])
+        for o, w in zip(outs[1:], weights[1:]):
+            total = nc.add(total, nc.dot(o, w))
+        nc.backward(total)
         return [p.grad.copy() for p in ps.nodes() + xs]
 
     stepped, state = [], cell.initial_state()
     for x in xs:
         h, state = cell.step(x, state)
         stepped.append(h)
-    for got, want in zip(grads(cell.run(xs)), grads(stepped)):
+    seq = cell.sequence(nc.vstack(xs))
+    rows = [nc.row(seq, t) for t in range(len(xs))]
+    for got, want in zip(grads(rows), grads(stepped)):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15)

@@ -43,14 +43,6 @@ def test_sigmoid_extreme_inputs():
     assert v[0] < 1e-10 and v[1] > 1 - 1e-10
 
 
-def test_tanh_gradient_at_zero():
-    x = nc.param(0.0)
-    err = nc.grad_check(lambda: nc.tanh(x), [x], h=1e-6)
-    assert err < 1e-8
-    nc.backward(nc.tanh(x))
-    assert abs(x.grad - 1.0) < 1e-12
-
-
 def test_linear_loss_gradient_is_outer():
     rng = random.Random(1)
     w = nc.param(rng_array(rng, 3, 4))
@@ -67,12 +59,6 @@ def test_disconnected_parameter_gradient_exactly_zero():
     assert np.array_equal(unused.grad, np.zeros((1, 1)))
 
 
-def test_quadratic_grad_check():
-    w = nc.param(3.0)
-    err = nc.grad_check(lambda: nc.mul(w, w), [w])
-    assert err < 1e-7
-
-
 def test_two_layer_net_grad_check():
     rng = random.Random(2)
     w1 = nc.param(rng_array(rng, 5, 4))
@@ -81,7 +67,7 @@ def test_two_layer_net_grad_check():
     x = nc.constant(rng_array(rng, 4))
 
     def f():
-        h = nc.tanh(nc.add(nc.matvec(w1, x), b1))
+        h = nc.sigmoid(nc.add(nc.matvec(w1, x), b1))
         return nc.pick(nc.matvec(w2, h), 0)
 
     assert nc.grad_check(f, [w1, b1, w2]) < 1e-6
@@ -128,11 +114,11 @@ def test_structural_ops_grad_check():
     b = nc.param(rng_array(rng, 3))
     t = nc.param(rng_array(rng, 4, 3))
 
-    inner = nc.constant(((np.arange(11) >= 1) & (np.arange(11) < 9)).astype(float))
+    inner = nc.constant(np.eye(11)[1:9])  # selects entries 1..8 of the 11
 
     def f():
         joined = nc.concat([a, b, nc.row(t, 2)])
-        kept = nc.mul(joined, inner)  # entries 1..8 of the 11
+        kept = nc.matvec(inner, joined)
         return nc.dot(kept, kept)
 
     assert nc.grad_check(f, [a, b, t]) < 1e-6
@@ -151,13 +137,43 @@ def test_mixture_ops_grad_check():
     assert nc.grad_check(f, [s, v, u]) < 1e-6
 
 
-def test_relu_and_addn_grad_check():
+def test_row_scale_grad_check_and_shape_error():
+    """One scalar per row of a matrix, as a bias is one per row in add."""
+    rng = random.Random(19)
+    s = nc.param(rng_array(rng, 3))
+    v = nc.param(rng_array(rng, 3, 4))
+    weights = nc.constant(rng_array(rng, 12))
+
+    def f():
+        out = nc.scale(s, v)
+        return nc.dot(nc.concat([nc.row(out, r) for r in range(3)]), weights)
+
+    assert nc.grad_check(f, [s, v]) < 1e-6
+    assert np.array_equal(nc.scale(nc.constant(s.value), nc.constant(v.value)).value,
+                          s.value[:, None] * v.value)
+    with pytest.raises(ValueError, match="scale"):
+        nc.scale(nc.constant(np.ones(2)), nc.constant(np.ones((3, 4))))
+    with pytest.raises(ValueError, match="scale"):
+        nc.scale(nc.constant(np.ones(4)), nc.constant(np.ones(4)))
+
+
+def test_scalar_scale_is_bitwise_the_product():
+    """The decode path scales vectors by one scalar; the op must add no
+    rounding of its own."""
+    rng = np.random.default_rng(20)
+    for k, v in zip(rng.normal(size=50), rng.normal(scale=10, size=(50, 7))):
+        assert np.array_equal(nc.scale(nc.constant(k), nc.constant(v)).value, k * v)
+
+
+def test_relu_and_chained_add_grad_check():
     rng = random.Random(9)
     # keep values away from relu's kink, where finite differences disagree
     xs = [nc.param(rng_array(rng, 3) + np.sign(rng_array(rng, 3)) * 0.5) for _ in range(4)]
 
     def f():
-        s = nc.addn([nc.relu(x) for x in xs])
+        s = nc.relu(xs[0])
+        for x in xs[1:]:
+            s = nc.add(s, nc.relu(x))
         return nc.dot(s, s)
 
     assert nc.grad_check(f, xs) < 1e-6
@@ -165,7 +181,7 @@ def test_relu_and_addn_grad_check():
 
 def test_double_backward_raises():
     x = nc.param(2.0)
-    loss = nc.mul(x, x)
+    loss = nc.scale(x, x)
     nc.backward(loss)
     with pytest.raises(nc.GradError, match="twice"):
         nc.backward(loss)
@@ -209,7 +225,7 @@ def test_row_scalar_index_forms():
 
 def test_gradient_accumulates_across_reuse():
     x = nc.param(3.0)
-    nc.backward(nc.add(nc.mul(x, x), nc.mul(x, x)))  # d/dx 2x^2 = 4x
+    nc.backward(nc.add(nc.scale(x, x), nc.scale(x, x)))  # d/dx 2x^2 = 4x
     assert abs(x.grad - 12.0) < 1e-12
 
 
@@ -255,8 +271,8 @@ def test_row_gather_grad_check_and_scatter_add():
 
     def f():
         g = nc.row(t, index)
-        return nc.dot(nc.concat([nc.row(nc.mul(g, weights), k) for k in range(4)]),
-                      nc.constant(np.ones(12)))
+        return nc.dot(nc.concat([nc.row(g, k) for k in range(4)]),
+                      nc.constant(weights.value.reshape(-1)))
 
     assert nc.grad_check(f, [t]) < 1e-6
     t.zero_grad()
@@ -364,12 +380,12 @@ def test_lstm_step_grad_check_into_both_states():
 def test_no_grad_builds_no_tape():
     w = nc.param(np.eye(2))
     with nc.no_grad():
-        out = nc.tanh(nc.matvec(w, nc.constant([0.5, -1.0])))
+        out = nc.sigmoid(nc.matvec(w, nc.constant([0.5, -1.0])))
         leaf = nc.param([1.0])
     assert out._parents == () and out._backprop is None and not out.requires_grad
-    assert np.allclose(out.value, np.tanh([0.5, -1.0]))
+    assert np.allclose(out.value, 1.0 / (1.0 + np.exp(-np.array([0.5, -1.0]))))
     assert leaf.requires_grad and w.requires_grad
-    on_tape = nc.tanh(nc.matvec(w, nc.constant([0.5, -1.0])))
+    on_tape = nc.sigmoid(nc.matvec(w, nc.constant([0.5, -1.0])))
     assert on_tape.requires_grad and on_tape._backprop is not None
     assert np.array_equal(on_tape.value, out.value)
 
@@ -378,11 +394,11 @@ def test_no_grad_restores_the_flag_when_its_block_raises():
     with pytest.raises(KeyError):
         with nc.no_grad():
             raise KeyError("boom")
-    assert nc.tanh(nc.param([0.5])).requires_grad
+    assert nc.sigmoid(nc.param([0.5])).requires_grad
     with nc.no_grad():
         with nc.no_grad():
             pass
-        assert not nc.tanh(nc.param([0.5])).requires_grad
+        assert not nc.sigmoid(nc.param([0.5])).requires_grad
 
 
 def test_backward_frees_the_tape_without_the_cyclic_gc():
@@ -406,7 +422,7 @@ def test_backward_frees_the_tape_without_the_cyclic_gc():
 
 def test_backward_reaching_a_consumed_node_raises():
     x = nc.param([0.3, -0.2])
-    h = nc.tanh(x)
+    h = nc.sigmoid(x)
     nc.backward(nc.dot(h, h))
     first = x.grad.copy()
     with pytest.raises(nc.GradError, match="consumed"):
