@@ -19,7 +19,7 @@ from pathlib import Path
 from hardmono.align import ALIGNERS, render
 from hardmono.corpus import DataError, Sample, open_text, parse_dataset
 from hardmono.decode import greedy_decode, post_filter
-from hardmono.ensemble import EnsembleError, ExternalRun, ModelPool, run_strategy
+from hardmono.ensemble import EnsembleError, Member, PoolEntry, run_strategy
 from hardmono.hacm import ModelConfig
 from hardmono.metrics import macro_report, render_table, render_tsv, score
 from hardmono.numcore import GradError
@@ -113,8 +113,7 @@ def _model_config(args) -> ModelConfig:
 def _train_config(args, seed: int | None = None) -> TrainConfig:
     return TrainConfig(epochs=args.epochs, patience=args.patience, lr=args.lr,
                        dropout=args.dropout,
-                       seed=args.seed if seed is None else seed,
-                       setting=args.setting)
+                       seed=args.seed if seed is None else seed)
 
 
 def _save_history(directory: str | Path, history: list[dict]) -> None:
@@ -171,35 +170,35 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_pool(directories: list[str]) -> ModelPool:
-    pool = ModelPool()
+def _load_pool(directories: list[str]) -> list[PoolEntry]:
+    pool = []
     for directory in directories:
         model, manifest = load_checkpoint(directory)
         name = os.path.basename(os.path.normpath(directory)) or directory
-        if any(e.name == name for e in pool.entries()):
+        if any(e.name == name for e in pool):
             name = directory
         dev_accuracy = manifest.get("dev_accuracy")
         if dev_accuracy is None:
             raise EnsembleError(f"{directory}: checkpoint has no recorded dev accuracy")
-        pool.add(name, model, manifest["aligner"], float(dev_accuracy))
+        pool.append(PoolEntry(name, model, manifest["aligner"], float(dev_accuracy)))
     return pool
 
 
-def _external_run(args) -> ExternalRun | None:
+def _external_member(args, order: int) -> Member | None:
     if not args.external:
         return None
     if args.external_dev_acc is None:
         raise EnsembleError("--external needs --external-dev-acc")
     dev_rows = tuple(_read_predictions(args.external_dev)) if args.external_dev else None
-    return ExternalRun(args.external_name, args.external_dev_acc,
-                       tuple(_read_predictions(args.external)), dev_rows)
+    return Member(args.external_name, args.external_dev_acc, order,
+                  dev_rows, tuple(_read_predictions(args.external)))
 
 
 def cmd_ensemble(args) -> int:
     pool = _load_pool(args.pool)
     dev = _labeled(parse_dataset(args.dev), args.dev)
     test = parse_dataset(args.test, has_form=not args.no_form)
-    result = run_strategy(args.run, pool, dev, test, external=_external_run(args))
+    result = run_strategy(args.run, pool, dev, test, external=_external_member(args, len(pool)))
     _emit(args, _prediction_lines(test, list(result.predictions)))
     print(f"run {result.run}: {result.system} dev_accuracy={result.dev_accuracy:.4f}")
     if not args.no_form:
@@ -227,14 +226,12 @@ def _resolve_counts(args) -> dict[tuple[str, str], int]:
 
 
 def cmd_run(args) -> int:
-    # a bad configuration is rejected before anything is written
+    # a bad configuration or data file is rejected before anything is written
     model_config, train_config = _model_config(args), _train_config(args)
     counts = _resolve_counts(args)
     if not args.synth and not (args.train and args.dev and args.test):
         raise DataError("run needs --train/--dev/--test, or --synth")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.synth:
         paths = write_language(str(out / "data"),
                                SynthConfig(seed=args.synth_seed,
@@ -248,6 +245,7 @@ def cmd_run(args) -> int:
     train = _labeled(parse_dataset(train_path), train_path)
     dev = _labeled(parse_dataset(dev_path), dev_path)
     test = parse_dataset(test_path, has_form=not args.no_form)
+    out.mkdir(parents=True, exist_ok=True)
 
     manifest = {
         "language": args.language,
@@ -264,7 +262,7 @@ def cmd_run(args) -> int:
     _write_json(out / "manifest.json", manifest)
 
     results = train_population(train, dev, model_config, train_config, counts=counts)
-    pool = ModelPool()
+    pool = []
     models_dir = out / "models"
     for result in results:
         name = f"{result.arch.lower()}_{result.aligner}_s{result.seed}"
@@ -272,14 +270,14 @@ def cmd_run(args) -> int:
         save_checkpoint(directory, result.model, result.aligner,
                         dev_accuracy=result.dev_accuracy, seed=result.seed)
         _save_history(directory, result.history)
-        pool.add(name, result.model, result.aligner, result.dev_accuracy)
+        pool.append(PoolEntry(name, result.model, result.aligner, result.dev_accuracy))
 
     run = run_strategy(args.run, pool, dev, test)
     _write_text(out / "predictions.tsv", _prediction_lines(test, list(run.predictions)))
 
     summary = {"run": run.run, "system": run.system,
                "dev_accuracy": run.dev_accuracy,
-               "models": {e.name: e.dev_accuracy for e in pool.entries()}}
+               "models": {e.name: e.dev_accuracy for e in pool}}
     if not args.no_form:
         rep = macro_report([score(args.language, list(run.predictions),
                                   [s.form for s in test])])
@@ -311,7 +309,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--dropout", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--setting", choices=SETTINGS, default="low")
 
 
 def _add_synth_sizes(p: argparse.ArgumentParser) -> None:
@@ -395,6 +392,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True, help="artifact directory")
     p.add_argument("--language", default="synthetic")
     p.add_argument("--run", type=int, choices=range(1, 8), default=7)
+    p.add_argument("--setting", choices=SETTINGS, default="low")
     p.add_argument("--train")
     p.add_argument("--dev")
     p.add_argument("--test")

@@ -138,15 +138,6 @@ class CharVocabulary:
             return sid
         return self._index.get(char, self.UNK_ID)
 
-    def char_of(self, char_id: int) -> str:
-        if char_id == self.BOS_ID:
-            return BOS
-        if char_id == self.EOS_ID:
-            return EOS
-        if char_id == self.UNK_ID:
-            return UNK
-        return self.chars[char_id - self.NUM_SPECIALS]
-
 
 @dataclass(frozen=True)
 class FeatureAlphabet:

@@ -22,10 +22,11 @@ Runs over the four (architecture, aligner) cells:
     6  ENSEMBLE_15 over all four cells
     7  MAX { run 5, run 6 }
 
-where E(cell) is the majority vote over every model in the cell.  An
-external line-aligned predictions file may join runs 5-7 as a pseudo-model
-with a caller-supplied dev accuracy: one more MAX candidate in run 5, one
-more voter in run 6.
+where E(cell) is the majority vote over every model in the cell.  The pool
+is a registration-ordered list of ``PoolEntry``s.  An external line-aligned
+predictions file may join runs 5-7 as a ready-made ``Member`` with a
+caller-supplied dev accuracy: one more MAX candidate in run 5, one more
+voter in run 6.
 """
 
 from __future__ import annotations
@@ -49,43 +50,12 @@ class EnsembleError(ValueError):
 
 @dataclass(frozen=True)
 class PoolEntry:
+    """A trained model as the pool registers it; its list index is its
+    registration order."""
     name: str
-    arch: str
+    model: object
     aligner: str
     dev_accuracy: float
-    order: int
-    model: object
-
-    def predict(self, samples: list[Sample]) -> list[str]:
-        return [predict(self.model, s) for s in samples]
-
-
-class ModelPool:
-    """Registration-ordered collection of trained models keyed by
-    (architecture, aligner) cell."""
-
-    def __init__(self) -> None:
-        self._entries: list[PoolEntry] = []
-
-    def add(self, name: str, model, aligner: str, dev_accuracy: float) -> PoolEntry:
-        if any(e.name == name for e in self._entries):
-            raise EnsembleError(f"duplicate pool entry name {name!r}")
-        if aligner not in ALIGNERS:
-            raise EnsembleError(f"unknown aligner {aligner!r}")
-        entry = PoolEntry(name, model.arch, aligner, dev_accuracy,
-                          len(self._entries), model)
-        self._entries.append(entry)
-        return entry
-
-    def entries(self) -> tuple[PoolEntry, ...]:
-        return tuple(self._entries)
-
-    def cell(self, arch: str, aligner: str) -> tuple[PoolEntry, ...]:
-        return tuple(e for e in self._entries
-                     if e.arch == arch and e.aligner == aligner)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 @dataclass(frozen=True)
@@ -96,16 +66,7 @@ class Member:
     order: int
     dev: tuple[str, ...] | None   # None for an external file without dev rows
     test: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ExternalRun:
-    """Line-aligned predictions from outside the pool (one string per test
-    sample, optionally per dev sample) with a supplied dev accuracy."""
-    name: str
-    dev_accuracy: float
-    test: tuple[str, ...]
-    dev: tuple[str, ...] | None = None
+    cell: tuple[str, str] | None = None   # (arch, aligner); None for an external file
 
 
 def vote(ballots: list[tuple[str, float, int]]) -> str:
@@ -194,53 +155,50 @@ def _gold_forms(dev: list[Sample]) -> list[str]:
     return [s.form for s in dev]
 
 
-def _members(pool: ModelPool, dev: list[Sample], test: list[Sample]) -> dict[str, Member]:
-    out = {}
-    for e in pool.entries():
-        out[e.name] = Member(e.name, e.dev_accuracy, e.order,
-                             tuple(e.predict(dev)), tuple(e.predict(test)))
-    return out
+def _members(pool: list[PoolEntry], dev: list[Sample], test: list[Sample]) -> list[Member]:
+    names = set()
+    for e in pool:
+        if e.name in names:
+            raise EnsembleError(f"duplicate pool entry name {e.name!r}")
+        if e.aligner not in ALIGNERS:
+            raise EnsembleError(f"unknown aligner {e.aligner!r}")
+        names.add(e.name)
+    return [Member(e.name, e.dev_accuracy, order,
+                   tuple(predict(e.model, s) for s in dev),
+                   tuple(predict(e.model, s) for s in test), (e.model.arch, e.aligner))
+            for order, e in enumerate(pool)]
 
 
-def _cell_members(pool: ModelPool, members: dict[str, Member],
-                  arch: str, aligner: str) -> list[Member]:
-    entries = pool.cell(arch, aligner)
-    if not entries:
+def _cell_members(members: list[Member], arch: str, aligner: str) -> list[Member]:
+    cell = [m for m in members if m.cell == (arch, aligner)]
+    if not cell:
         raise EnsembleError(f"pool has no {arch}/{aligner} models")
-    return [members[e.name] for e in entries]
+    return cell
 
 
-def run_strategy(run: int, pool: ModelPool, dev: list[Sample], test: list[Sample],
-                 external: ExternalRun | None = None) -> RunResult:
+def run_strategy(run: int, pool: list[PoolEntry], dev: list[Sample], test: list[Sample],
+                 external: Member | None = None) -> RunResult:
     """Execute one numbered run against the pool and return its test
     predictions along with the dev accuracy that selected them."""
     if run not in RUN_IDS:
         raise EnsembleError(f"unknown run {run} (valid: 1-7)")
-    if external is not None and run not in (5, 6, 7):
-        raise EnsembleError("external predictions only join runs 5-7")
+    if external is not None:
+        if run not in (5, 6, 7):
+            raise EnsembleError("external predictions only join runs 5-7")
+        if len(external.test) != len(test):
+            raise EnsembleError(f"external predictions have {len(external.test)} rows "
+                                f"for {len(test)} test samples")
+        if external.dev is not None and len(external.dev) != len(dev):
+            raise EnsembleError(f"external dev predictions have {len(external.dev)} rows "
+                                f"for {len(dev)} dev samples")
     gold = _gold_forms(dev)
     members = _members(pool, dev, test)
 
     def cell_vote(arch: str, aligner: str) -> System:
-        return System(f"E({arch}/{aligner})",
-                      tuple(_cell_members(pool, members, arch, aligner)))
+        return System(f"E({arch}/{aligner})", tuple(_cell_members(members, arch, aligner)))
 
     def cells(arch: str) -> list[Member]:
-        return (_cell_members(pool, members, arch, "naive")
-                + _cell_members(pool, members, arch, "smart"))
-
-    external_member = None
-    if external is not None:
-        if len(external.test) != len(test):
-            raise EnsembleError(
-                f"external predictions have {len(external.test)} rows "
-                f"for {len(test)} test samples")
-        if external.dev is not None and len(external.dev) != len(dev):
-            raise EnsembleError(
-                f"external dev predictions have {len(external.dev)} rows "
-                f"for {len(dev)} dev samples")
-        external_member = Member(external.name, external.dev_accuracy,
-                                 len(pool), external.dev, external.test)
+        return _cell_members(members, arch, "naive") + _cell_members(members, arch, "smart")
 
     if run == 1:
         chosen = max_strategy([cell_vote(HACM, "naive"), cell_vote(HACM, "smart")], gold)
@@ -253,9 +211,9 @@ def run_strategy(run: int, pool: ModelPool, dev: list[Sample], test: list[Sample
     else:
         candidates = [cell_vote(a, al) for a, al in CELLS]
         pool_members = cells(HACM) + cells(HAEM)
-        if external_member is not None:
-            candidates.append(System(external_member.name, (external_member,)))
-            pool_members = pool_members + [external_member]
+        if external is not None:
+            candidates.append(System(external.name, (external,)))
+            pool_members = pool_members + [external]
         run5 = max_strategy(candidates, gold)
         run6 = ensemble_n(pool_members, 15, "ENSEMBLE_15")
         if run == 5:

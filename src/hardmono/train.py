@@ -43,6 +43,9 @@ POPULATION_COUNTS = {
 
 CELL_ORDER = ((HACM, "smart"), (HACM, "naive"), (HAEM, "smart"), (HAEM, "naive"))
 
+# Adam's moment decays and denominator guard, and the global gradient-norm clip
+BETA1, BETA2, EPS, CLIP_NORM = 0.9, 0.999, 1e-8, 5.0
+
 
 class TrainingError(RuntimeError):
     """Training cannot proceed (empty dev set, non-finite loss, ...)."""
@@ -55,13 +58,10 @@ class TrainConfig:
     lr: float = 1e-3
     dropout: float = 0.3
     seed: int = 0
-    setting: str = "low"
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.patience < 1:
             raise ValueError("epochs and patience must be at least 1")
-        if self.setting not in SETTINGS:
-            raise ValueError(f"unknown setting {self.setting!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout {self.dropout} outside [0, 1)")
         if not (np.isfinite(self.lr) and self.lr >= 0):   # 0 freezes the weights
@@ -72,34 +72,28 @@ class Adam:
     """Standard Adam over a parameter list, with global-norm clipping
     applied to the gradients before each update."""
 
-    def __init__(self, params: list[Node], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, clip_norm: float = 5.0):
+    def __init__(self, params: list[Node], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.clip_norm = clip_norm
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in params]
         self._v = [np.zeros_like(p.value) for p in params]
 
     def step(self) -> None:
         grads = [p.grad for p in self.params]
-        if self.clip_norm > 0:
-            total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-                grads = [g * scale for g in grads]
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        if total > CLIP_NORM:
+            scale = CLIP_NORM / total
+            grads = [g * scale for g in grads]
         self.t += 1
-        bias1 = 1.0 - self.beta1 ** self.t
-        bias2 = 1.0 - self.beta2 ** self.t
+        bias1 = 1.0 - BETA1 ** self.t
+        bias2 = 1.0 - BETA2 ** self.t
         for p, m, v, g in zip(self.params, self._m, self._v, grads):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
 
 
 def predict(model: HacmModel | HaemModel, sample: Sample) -> str:
@@ -202,10 +196,9 @@ def population_counts(setting: str) -> dict[tuple[str, str], int]:
 
 def train_population(train: list[Sample], dev: list[Sample], sizes: ModelConfig,
                      config: TrainConfig,
-                     counts: dict[tuple[str, str], int] | None = None) -> list[TrainResult]:
+                     counts: dict[tuple[str, str], int]) -> list[TrainResult]:
     """Independently seeded models per (arch, aligner) cell; seeds are
     config.seed, config.seed+1, ... in cell-then-index order."""
-    counts = population_counts(config.setting) if counts is None else counts
     results = []
     next_seed = config.seed
     for cell in CELL_ORDER:

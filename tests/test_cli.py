@@ -204,7 +204,9 @@ def test_train_bad_learning_rate_is_a_usage_error(lang, tmp_path, capsys, lr):
     (["--synth", "--hidden", "0"], 1),
     (["--synth", "--hacm-smart", "-1"], 2),
     (["--train", "t.tsv"], 2),
-], ids=["epochs-0", "hidden-0", "negative-count", "no-data"])
+    (["--train", "missing/train.tsv", "--dev", "missing/dev.tsv",
+      "--test", "missing/test.tsv"], 2),
+], ids=["epochs-0", "hidden-0", "negative-count", "no-data", "missing-data"])
 def test_run_rejects_a_bad_config_before_writing(tmp_path, capsys, flags, code):
     argv = ["run", "--out", str(tmp_path / "d"), "--train-size", "4", "--dev-size", "2",
             "--test-size", "2", *TINY, *flags]

@@ -71,14 +71,12 @@ def test_char_vocabulary_layout():
     v = CharVocabulary(("a", "b", "c"))
     assert v.id_of(BOS) == 0 and v.id_of(EOS) == 1 and v.id_of(UNK) == 2
     assert [v.id_of(c) for c in "abc"] == [3, 4, 5]
-    assert v.char_of(4) == "b"
     assert len(v) == 6
 
 
 def test_char_vocabulary_oov_maps_to_unk():
     v = CharVocabulary(("a",))
     assert v.id_of("z") == v.UNK_ID
-    assert v.char_of(v.UNK_ID) == UNK
 
 
 def test_feature_alphabet_slots():

@@ -11,9 +11,8 @@ import hardmono.ensemble as ens
 from hardmono.corpus import Sample
 from hardmono.ensemble import (
     EnsembleError,
-    ExternalRun,
     Member,
-    ModelPool,
+    PoolEntry,
     System,
     ensemble_n,
     max_strategy,
@@ -26,7 +25,8 @@ TEST = [Sample(f"t{i}", ("V",), f"g{i}") for i in range(3)]
 
 
 class Stub:
-    """Looks enough like a model for the pool: has .arch, maps lemmas."""
+    """Looks enough like a model for the pool: has .arch, maps lemmas
+    (an empty table raises KeyError if anything is decoded)."""
 
     def __init__(self, arch, table):
         self.arch = arch
@@ -77,23 +77,30 @@ def test_vote_rejects_empty():
 
 
 def test_pool_registration_and_cells():
-    pool = ModelPool()
-    pool.add("m1", Stub("HACM", {}), "smart", 0.5)
-    pool.add("m2", Stub("HACM", {}), "naive", 0.6)
-    pool.add("m3", Stub("HAEM", {}), "smart", 0.7)
-    assert [e.order for e in pool.entries()] == [0, 1, 2]
-    assert [e.name for e in pool.cell("HACM", "smart")] == ["m1"]
-    assert pool.cell("HAEM", "naive") == ()
-    assert len(pool) == 3
+    # a 2-2 vote between members of equal dev accuracy: the list index is
+    # the registration order that breaks it, and swapping two entries flips it
+    cm_n = PoolEntry("cm_n", perfect("HACM", ["p", "x", "x"]), "naive", 0.5)
+    cm_s = PoolEntry("cm_s", perfect("HACM", ["p", "x", "x"]), "smart", 0.5)
+    em_n = PoolEntry("em_n", perfect("HAEM", ["q", "x", "x"]), "naive", 0.5)
+    em_s = PoolEntry("em_s", perfect("HAEM", ["q", "x", "x"]), "smart", 0.5)
+    assert run_strategy(6, [cm_n, cm_s, em_n, em_s], DEV, TEST).predictions[0] == "p"
+    assert run_strategy(6, [em_n, cm_s, cm_n, em_s], DEV, TEST).predictions[0] == "q"
+    # cells come from model.arch and the aligner, not from list position
+    result = run_strategy(4, [em_n, cm_s, cm_n, em_s], DEV, TEST)
+    assert result.system == "ENSEMBLE_7(HAEM)"
+    assert result.predictions[0] == "q"
 
 
 def test_pool_rejects_duplicates_and_bad_aligner():
-    pool = ModelPool()
-    pool.add("m", Stub("HACM", {}), "smart", 0.5)
+    # both are rejected before any decode: the empty stubs would raise KeyError
+    dup = [PoolEntry("m", Stub("HACM", {}), "smart", 0.5),
+           PoolEntry("m", Stub("HACM", {}), "naive", 0.5)]
     with pytest.raises(EnsembleError, match="duplicate"):
-        pool.add("m", Stub("HACM", {}), "naive", 0.5)
+        run_strategy(6, dup, DEV, TEST)
+    bad = [PoolEntry("m", Stub("HACM", {}), "smart", 0.5),
+           PoolEntry("m2", Stub("HACM", {}), "crp", 0.5)]
     with pytest.raises(EnsembleError, match="aligner"):
-        pool.add("m2", Stub("HACM", {}), "crp", 0.5)
+        run_strategy(6, bad, DEV, TEST)
 
 
 # --- systems --------------------------------------------------------------
@@ -171,12 +178,12 @@ def test_max_picks_argmax_and_breaks_ties_late():
 
 
 def full_pool():
-    pool = ModelPool()
-    pool.add("cm_n", perfect("HACM", ["n1", "x", "x"]), "naive", 0.4)
-    pool.add("cm_s", perfect("HACM", ["s1", "x", "x"]), "smart", 0.4)
-    pool.add("em_n", stub("HAEM", ["d0", "no", "no", "no"], ["n2", "y", "y"]), "naive", 0.3)
-    pool.add("em_s", stub("HAEM", ["d0", "d1", "no", "no"], ["s2", "y", "y"]), "smart", 0.2)
-    return pool
+    return [
+        PoolEntry("cm_n", perfect("HACM", ["n1", "x", "x"]), "naive", 0.4),
+        PoolEntry("cm_s", perfect("HACM", ["s1", "x", "x"]), "smart", 0.4),
+        PoolEntry("em_n", stub("HAEM", ["d0", "no", "no", "no"], ["n2", "y", "y"]), "naive", 0.3),
+        PoolEntry("em_s", stub("HAEM", ["d0", "d1", "no", "no"], ["s2", "y", "y"]), "smart", 0.2),
+    ]
 
 
 def test_run1_max_over_hacm_cells_tie_prefers_smart():
@@ -217,16 +224,15 @@ def test_run5_spans_all_cells_and_run7_takes_the_better():
 def test_max_output_matches_chosen_candidate_exactly():
     pool = full_pool()
     run1 = run_strategy(1, pool, DEV, TEST)
-    cell = pool.cell("HACM", "smart")
     direct = System("direct", tuple(
-        Member(e.name, e.dev_accuracy, e.order,
-               tuple(e.predict(DEV)), tuple(e.predict(TEST))) for e in cell))
+        Member(e.name, e.dev_accuracy, order, tuple(ens.predict(e.model, s) for s in DEV),
+               tuple(ens.predict(e.model, s) for s in TEST))
+        for order, e in enumerate(pool) if (e.model.arch, e.aligner) == ("HACM", "smart")))
     assert list(run1.predictions) == direct.test_predictions()
 
 
 def test_missing_cell_is_named():
-    pool = ModelPool()
-    pool.add("cm_s", perfect("HACM", ["a", "b", "c"]), "smart", 0.5)
+    pool = [PoolEntry("cm_s", perfect("HACM", ["a", "b", "c"]), "smart", 0.5)]
     with pytest.raises(EnsembleError, match="HACM/naive"):
         run_strategy(1, pool, DEV, TEST)
     with pytest.raises(EnsembleError, match="HAEM/naive"):
@@ -239,7 +245,7 @@ def test_unknown_run_rejected():
 
 
 def test_external_joins_run5_as_candidate():
-    ext = ExternalRun("nem", 0.95, ("e1", "e2", "e3"), tuple(s.form for s in DEV))
+    ext = Member("nem", 0.95, 4, tuple(s.form for s in DEV), ("e1", "e2", "e3"))
     result = run_strategy(5, full_pool(), DEV, TEST, external=ext)
     assert result.system == "nem"
     assert result.predictions == ("e1", "e2", "e3")
@@ -247,14 +253,14 @@ def test_external_joins_run5_as_candidate():
 
 def test_external_joins_run6_as_voter():
     # three externals would dominate; one only changes close votes
-    ext = ExternalRun("nem", 0.95, ("x", "y", "y"), None)
+    ext = Member("nem", 0.95, 4, None, ("x", "y", "y"))
     result = run_strategy(6, full_pool(), DEV, TEST, external=ext)
     assert result.system == "ENSEMBLE_15"
     assert result.predictions[2] == "y"
 
 
 def test_external_restricted_to_late_runs():
-    ext = ExternalRun("nem", 0.9, ("a", "b", "c"))
+    ext = Member("nem", 0.9, 4, None, ("a", "b", "c"))
     with pytest.raises(EnsembleError, match="runs 5-7"):
         run_strategy(2, full_pool(), DEV, TEST, external=ext)
 
@@ -262,10 +268,10 @@ def test_external_restricted_to_late_runs():
 def test_external_row_counts_validated():
     with pytest.raises(EnsembleError, match="rows"):
         run_strategy(6, full_pool(), DEV, TEST,
-                     external=ExternalRun("nem", 0.9, ("a",)))
+                     external=Member("nem", 0.9, 4, None, ("a",)))
     with pytest.raises(EnsembleError, match="dev"):
         run_strategy(6, full_pool(), DEV, TEST,
-                     external=ExternalRun("nem", 0.9, ("a", "b", "c"), ("d",)))
+                     external=Member("nem", 0.9, 4, ("d",), ("a", "b", "c")))
 
 
 def test_dev_set_must_be_labeled():

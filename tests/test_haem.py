@@ -41,7 +41,7 @@ def test_state_input_dimension_law():
                                   variant="basic", dropout=0.0))
     assert basic.state_proj.in_size == h + 2 * h + slots
     assert not hasattr(basic, "lstm_a")
-    assert "act_emb" not in basic.params
+    assert "act_emb" not in basic.params.names()
 
 
 def test_mask_at_lemma_end():

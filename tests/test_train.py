@@ -40,8 +40,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
-        TrainConfig(setting="extreme")
-    with pytest.raises(ValueError):
         TrainConfig(dropout=1.0)
 
 
@@ -54,7 +52,7 @@ def test_config_rejects_bad_learning_rate(lr):
 def test_adam_minimizes_quadratic():
     x = nc.param(np.array([10.0]))
     target = nc.constant(np.array([3.0]))
-    optimizer = Adam([x], lr=0.1, clip_norm=0.0)
+    optimizer = Adam([x], lr=0.1)
     for _ in range(400):
         x.zero_grad()
         diff = nc.sub(x, target)
@@ -65,7 +63,7 @@ def test_adam_minimizes_quadratic():
 
 def test_adam_first_step_size_is_lr():
     x = nc.param(np.array([0.0]))
-    optimizer = Adam([x], lr=0.01, clip_norm=0.0)
+    optimizer = Adam([x], lr=0.01)
     nc.backward(nc.dot(nc.constant([7.0]), x))
     optimizer.step()
     assert float(x.value[0]) == pytest.approx(-0.01, rel=1e-6)
@@ -75,7 +73,7 @@ def test_clipping_equalizes_huge_gradients():
     outcomes = []
     for scale in (1e3, 1e9):
         x = nc.param(np.array([0.0]))
-        optimizer = Adam([x], lr=0.01, clip_norm=1.0)
+        optimizer = Adam([x], lr=0.01)
         nc.backward(nc.dot(nc.constant([scale]), x))
         optimizer.step()
         outcomes.append(float(x.value[0]))
