@@ -171,8 +171,12 @@ def cmd_synth(args) -> int:
 
 
 def _load_pool(directories: list[str]) -> list[PoolEntry]:
-    pool = []
+    pool, seen = [], set()
     for directory in directories:
+        resolved = Path(directory).resolve()
+        if resolved in seen:   # one model, one ballot
+            raise EnsembleError(f"{directory}: checkpoint directory given twice in --pool")
+        seen.add(resolved)
         model, manifest = load_checkpoint(directory)
         name = os.path.basename(os.path.normpath(directory)) or directory
         if any(e.name == name for e in pool):

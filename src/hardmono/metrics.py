@@ -8,16 +8,38 @@ from dataclasses import dataclass
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance, two-row dynamic program."""
+    """Unit-cost edit distance: Myers' bit-parallel algorithm (J. ACM 46(3),
+    1999) in Hyyrö's form for the global distance, on Python ints.
+
+    Bit i of each vector is row i+1 of one column of the dynamic program
+    over the longer string; ``pv``/``mv`` mark vertical deltas of +1/-1 and
+    ``dist`` follows the last row. One loop pass per character of the
+    shorter string. Python ints behave as infinite two's complement and
+    carries only move up, so bits above the last row never reach it and
+    the vectors need no mask."""
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[len(b)]
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}   # character -> bitmask of its positions in a
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | 1 << i
+    last = 1 << (len(a) - 1)
+    pv, mv, dist = -1, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = ph << 1 | 1   # row 0 grows by one per column
+        pv = mh << 1 | ~(xv | ph)
+        mv = ph & xv
+    return dist
 
 
 def accuracy(predictions: Sequence[str], references: Sequence[str]) -> float:

@@ -17,6 +17,7 @@ dev accuracy are what training returns, regardless of later epochs.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,8 +70,14 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam over a parameter list, with global-norm clipping
-    applied to the gradients before each update."""
+    """Adam over a parameter list, with global-norm clipping applied to the
+    gradients before each update.
+
+    The update is the efficient form at the end of section 2 of Kingma & Ba
+    (arXiv 1412.6980): the bias corrections fold into the step size and the
+    denominator guard, and the clip scale folds into the moment coefficients.
+    Every step works in place through one scratch buffer that all tensors
+    share, so it allocates no parameter-sized array."""
 
     def __init__(self, params: list[Node], lr: float = 1e-3):
         self.params = params
@@ -78,22 +85,36 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in params]
         self._v = [np.zeros_like(p.value) for p in params]
+        scratch = np.empty(max((p.value.size for p in params), default=0))
+        self._scratch = [scratch[:p.value.size].reshape(p.value.shape) for p in params]
 
     def step(self) -> None:
-        grads = [p.grad for p in self.params]
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-        if total > CLIP_NORM:
-            scale = CLIP_NORM / total
-            grads = [g * scale for g in grads]
+        # a parameter the tape did not reach has no gradient array; reading
+        # it as None spares the zero fill of Node.grad, and a zero gradient
+        # only decays the moments
+        grads = [p._grad for p in self.params]
+        total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads if g is not None))
+        scale = CLIP_NORM / total if total > CLIP_NORM else 1.0
         self.t += 1
-        bias1 = 1.0 - BETA1 ** self.t
-        bias2 = 1.0 - BETA2 ** self.t
-        for p, m, v, g in zip(self.params, self._m, self._v, grads):
+        root_bias2 = math.sqrt(1.0 - BETA2 ** self.t)
+        step_size = self.lr * root_bias2 / (1.0 - BETA1 ** self.t)
+        eps = EPS * root_bias2
+        c1 = (1.0 - BETA1) * scale
+        c2 = (1.0 - BETA2) * scale * scale
+        for p, m, v, g, s in zip(self.params, self._m, self._v, grads, self._scratch):
             m *= BETA1
-            m += (1.0 - BETA1) * g
             v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
+            if g is not None:
+                np.multiply(g, c1, out=s)
+                m += s
+                np.multiply(g, g, out=s)
+                s *= c2
+                v += s
+            np.sqrt(v, out=s)
+            s += eps
+            np.divide(m, s, out=s)
+            s *= step_size
+            p.value -= s
 
 
 def predict(model: HacmModel | HaemModel, sample: Sample) -> str:

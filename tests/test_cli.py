@@ -157,6 +157,25 @@ def test_ensemble_external_needs_accuracy(lang, checkpoints, tmp_path, capsys):
     assert code == 2
 
 
+def test_ensemble_rejects_a_checkpoint_given_twice(lang, checkpoints, tmp_path, capsys):
+    dirs = [str(checkpoints / d) for d in ("HACM_smart", "HACM_naive")]
+    out = tmp_path / "ens2.tsv"
+    common = ["--dev", str(lang / "dev.tsv"), "--test", str(lang / "test.tsv"),
+              "--out", str(out)]
+    respelled = str(checkpoints / "HAEM_naive" / ".." / "HACM_smart") + "/"
+    code = main(["ensemble", "--run", "2", "--pool", *dirs, respelled, *common])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "given twice" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # a distinct directory that shares a basename is a distinct voter
+    twin = tmp_path / "HACM_smart"
+    shutil.copytree(checkpoints / "HACM_smart", twin)
+    assert main(["ensemble", "--run", "2", "--pool", *dirs, str(twin), *common]) == 0
+    assert len(out.read_text().splitlines()) == 6
+
+
 def test_config_file_supplies_flags(tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text(f"out = {tmp_path / 'made'}\n"

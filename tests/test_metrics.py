@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hardmono.metrics import (
     EvalReport,
@@ -38,6 +40,33 @@ def test_levenshtein_metric_properties():
     for _ in range(300):
         a, b, c = rng.choice(words), rng.choice(words), rng.choice(words)
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+
+def _dp_levenshtein(a, b):
+    """Reference: the full (len(a)+1) x (len(b)+1) dynamic program."""
+    table = [[i + j if i == 0 or j == 0 else 0 for j in range(len(b) + 1)]
+             for i in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            table[i][j] = min(table[i - 1][j] + 1, table[i][j - 1] + 1,
+                              table[i - 1][j - 1] + (a[i - 1] != b[j - 1]))
+    return table[len(a)][len(b)]
+
+
+# a small alphabet makes matches common; the long draws cross 64 characters,
+# one machine word of the bit vectors
+WORDS = st.one_of(st.text("abcd", max_size=12), st.text("abcdé", min_size=60, max_size=90))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(WORDS, WORDS)
+@example("", "")
+@example("", "abc")
+@example("a" * 70, "")
+@example("ab" * 40, "ba" * 40)
+@example("x" * 65, "x" * 64)
+def test_levenshtein_matches_dynamic_program(a, b):
+    assert levenshtein(a, b) == _dp_levenshtein(a, b)
 
 
 def test_accuracy_fractions():

@@ -1,13 +1,22 @@
 """Optimizer behavior, the training loop, and population training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hardmono import numcore as nc
-from hardmono.corpus import Sample
+from hardmono.align import smart_align
+from hardmono.corpus import Sample, build_vocab
 from hardmono.hacm import HacmModel, ModelConfig
+from hardmono.haem import HaemModel
+from hardmono.oracle import hacm_oracle, haem_oracle
 from hardmono.train import (
+    BETA1,
+    BETA2,
     CELL_ORDER,
+    CLIP_NORM,
+    EPS,
     Adam,
     TrainConfig,
     TrainingError,
@@ -79,6 +88,76 @@ def test_clipping_equalizes_huge_gradients():
         outcomes.append(float(x.value[0]))
     assert outcomes[0] == pytest.approx(outcomes[1], rel=1e-12)
     assert outcomes[0] == pytest.approx(-0.01, rel=1e-6)
+
+
+def _textbook_adam(values, grad_steps, lr):
+    """Reference: clip the gradients, then the bias-corrected update
+    m_hat / (sqrt(v_hat) + eps) of Kingma & Ba's Algorithm 1."""
+    values = [v.copy() for v in values]
+    m = [np.zeros_like(v) for v in values]
+    s = [np.zeros_like(v) for v in values]
+    for t, grads in enumerate(grad_steps, start=1):
+        total = np.sqrt(sum(np.sum(g * g) for g in grads))
+        if total > CLIP_NORM:
+            grads = [g * (CLIP_NORM / total) for g in grads]
+        for x, mi, si, g in zip(values, m, s, grads):
+            mi[...] = BETA1 * mi + (1 - BETA1) * g
+            si[...] = BETA2 * si + (1 - BETA2) * g * g
+            m_hat = mi / (1 - BETA1 ** t)
+            s_hat = si / (1 - BETA2 ** t)
+            x -= lr * m_hat / (np.sqrt(s_hat) + EPS)
+    return values
+
+
+@pytest.mark.parametrize("grad_scale, clipped", [(0.05, False), (50.0, True)])
+def test_adam_matches_textbook_update(grad_scale, clipped):
+    rng = np.random.default_rng(7)
+    shapes = [(3,), (4, 5), (2, 3, 4), (6, 1), (5, 2)]
+    # values stay far from zero over 50 steps of at most about lr each,
+    # so a relative comparison is meaningful
+    start = [rng.uniform(1.0, 2.0, size=shape) for shape in shapes]
+    params = [nc.param(v) for v in start]
+    optimizer = Adam(params, lr=0.01)
+    grad_steps = []
+    for t in range(50):
+        grads = [grad_scale * rng.standard_normal(shape) for shape in shapes]
+        for p, g in zip(params, grads):
+            p.zero_grad()
+            p.accum(g)
+        if t % 2:
+            # the last tensor gets no gradient, as a parameter the tape did
+            # not reach; its moments still carry it on
+            params[-1].zero_grad()
+            grads[-1] = np.zeros(shapes[-1])
+        total = np.sqrt(sum(np.sum(g * g) for g in grads))
+        assert (total > CLIP_NORM) == clipped
+        optimizer.step()
+        grad_steps.append(grads)
+    expected = _textbook_adam(start, grad_steps, lr=0.01)
+    for p, want in zip(params, expected):
+        np.testing.assert_allclose(p.value, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("cls, derive", [(HacmModel, hacm_oracle), (HaemModel, haem_oracle)],
+                         ids=["HACM", "HAEM"])
+def test_adam_step_allocates_nothing_parameter_sized(cls, derive):
+    sample = TRAIN[0]     # a suffix: HAEM's deleted-character LSTM gets no gradient
+    vocab, feats = build_vocab(TRAIN)
+    model = cls(vocab, feats, ModelConfig(), np.random.default_rng(0))
+    nodes = model.params.nodes()
+    optimizer = Adam(nodes)
+    model.params.zero_grads()
+    oracle = derive(smart_align(sample.lemma, sample.form))
+    nc.backward(model.sample_loss(sample.lemma, sample.features, oracle,
+                                  rng=np.random.default_rng(1)))
+    largest = max(p.value.nbytes for p in nodes)
+    tracemalloc.start()
+    try:
+        optimizer.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < largest
 
 
 @pytest.mark.parametrize("arch", ["HACM", "HAEM"])
