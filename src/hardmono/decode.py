@@ -78,7 +78,7 @@ def _decode_hacm(model: HacmModel, lemma: str, features: tuple[str, ...]) -> Dec
         dist = model.distribution(state).value
         action_id = int(np.argmax(dist))
         action = codec.action_of(action_id)
-        if action.tag == "STEP" and state.i == state.ctx.n + 1:
+        if action.tag == "STEP" and state.i == state.ex.n + 1:
             # the pointer cannot leave the frame; an argmax STEP here can
             # only mean the model is done
             action, action_id = eos, codec.id_of(eos)

@@ -47,27 +47,15 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class HacmContext:
-    """Per-sample constants: encoded frame, feature vector, mode."""
-
-    lemma: str
-    frame: Node                  # rows h_0 .. h_{n+1} over BOS + lemma + EOS
-    feat_vec: Node
-
-    @property
-    def n(self) -> int:
-        return len(self.lemma)
-
-
-@dataclass(frozen=True)
 class HacmState:
     """Decoder state after consuming the previous action."""
 
-    ctx: HacmContext = field(repr=False)
-    ex: HacmExecutor         # owns the attention index
-    lstm: tuple[Node, Node]
-    s: Node | None           # decoder output s_t; None before the first step
-    prev_emb: Node | None
+    frame: Node = field(repr=False)      # rows h_0 .. h_{n+1} over BOS + lemma + EOS
+    feat_vec: Node = field(repr=False)
+    ex: HacmExecutor                     # owns the lemma and the attention index
+    lstm: tuple[Node, Node]              # (s_t, c_t)
+    prev_emb: Node | None = None
+    attended: Node | None = None         # frame row h_i; None before the first step
 
     @property
     def i(self) -> int:
@@ -116,20 +104,19 @@ class HacmModel:
         return self.encoder(self.char_emb(np.array(ids)))
 
     def start(self, lemma: str, features: tuple[str, ...]) -> HacmState:
-        ctx = HacmContext(lemma, self._frame(lemma), self.feature_vector(features))
-        return HacmState(ctx, HacmExecutor(lemma), self.decoder.initial_state(), None, None)
+        return HacmState(self._frame(lemma), self.feature_vector(features),
+                         HacmExecutor(lemma), (self.decoder.h0, self.decoder.c0))
 
     # --- one transition ---
 
     def step(self, state: HacmState, action_id: int) -> HacmState:
         """Consume the action emitted at the previous time step: move the
         attention index if it was STEP, then advance the decoder LSTM."""
-        ctx = state.ctx
         ex = state.ex.apply(self.codec.action_of(action_id))
         emb = self.act_emb(action_id)
-        x = nc.concat([emb, nc.row(ctx.frame, ex.i), ctx.feat_vec])
-        s, lstm = self.decoder.step(x, state.lstm)
-        return replace(state, ex=ex, lstm=lstm, s=s, prev_emb=emb)
+        attended = nc.row(state.frame, ex.i)
+        lstm = self.decoder.step(nc.concat([emb, attended, state.feat_vec]), state.lstm)
+        return replace(state, ex=ex, lstm=lstm, prev_emb=emb, attended=attended)
 
     def copy_action_id(self, state: HacmState) -> int | None:
         """Action id equivalent to copying the attended frame symbol; None
@@ -150,13 +137,13 @@ class HacmModel:
         """Copy mixture over the action inventory. The attended symbol must
         be in vocabulary; decoding handles the out-of-vocabulary branch by
         copying outright, without consulting a distribution."""
-        if state.s is None:
+        if state.attended is None:
             raise ValueError("distribution before the first decoder step")
         copy_id = self.copy_action_id(state)
         if copy_id is None:
             raise ValueError(f"attended character {self.attended_oov(state)!r} has no action id")
-        return self._mixture(nc.row(state.ctx.frame, state.i), state.ctx.feat_vec,
-                             state.prev_emb, state.s, copy_id)
+        return self._mixture(state.attended, state.feat_vec, state.prev_emb,
+                             state.lstm[0], copy_id)
 
     def _mixture(self, attended: Node, feats: Node, prev_emb: Node, s: Node,
                  copy_ids: int | np.ndarray) -> Node:

@@ -32,23 +32,13 @@ from hardmono.oracle import HAEM, Action, ActionCodec, HaemExecutor, OracleSeque
 
 
 @dataclass(frozen=True)
-class HaemContext:
-    lemma: str
-    encoded: Node                # rows h_1 .. h_n over the bare lemma, then the end vector
-    feat_vec: Node               # multi-hot indicator, constant
-
-    @property
-    def n(self) -> int:
-        return len(self.lemma)
-
-
-@dataclass(frozen=True)
 class HaemState:
-    ctx: HaemContext = field(repr=False)
-    ex: HaemExecutor                             # owns attention index, output, and done
-    y: tuple[Node, tuple[Node, Node]]            # (output, lstm state) of LSTM over emitted chars
-    a: tuple[Node, tuple[Node, Node]] | None     # action-history LSTM (extended)
-    d: tuple[Node, tuple[Node, Node]] | None     # deleted-run LSTM (extended)
+    encoded: Node = field(repr=False)   # rows h_1 .. h_n over the bare lemma, then the end vector
+    feat_vec: Node = field(repr=False)  # multi-hot indicator, constant
+    ex: HaemExecutor                    # owns the lemma, attention index, output, and done
+    y: tuple[Node, Node]                # (h, c) of the LSTM over emitted chars
+    a: tuple[Node, Node] | None         # action-history LSTM (extended)
+    d: tuple[Node, Node] | None         # deleted-run LSTM (extended)
 
     @property
     def i(self) -> int:
@@ -109,11 +99,10 @@ class HaemModel:
         return nc.vstack([self.encoder(self.char_emb(ids)), self.end_vec])
 
     def start(self, lemma: str, features: tuple[str, ...]) -> HaemState:
-        ctx = HaemContext(lemma, self._encode(lemma), self.feature_indicator(features))
-        y0 = (self.lstm_y.h0, self.lstm_y.initial_state())
-        a0 = (self.lstm_a.h0, self.lstm_a.initial_state()) if self.extended else None
-        d0 = (self.lstm_d.h0, self.lstm_d.initial_state()) if self.extended else None
-        return HaemState(ctx, HaemExecutor(lemma), y0, a0, d0)
+        a0 = (self.lstm_a.h0, self.lstm_a.c0) if self.extended else None
+        d0 = (self.lstm_d.h0, self.lstm_d.c0) if self.extended else None
+        return HaemState(self._encode(lemma), self.feature_indicator(features),
+                         HaemExecutor(lemma), (self.lstm_y.h0, self.lstm_y.c0), a0, d0)
 
     # --- scoring ---
 
@@ -130,8 +119,7 @@ class HaemModel:
     def distribution(self, state: HaemState) -> Node:
         if state.done:
             raise ValueError("distribution after STOP")
-        ctx = state.ctx
-        parts = [state.y[0], nc.row(ctx.encoded, state.i - 1), ctx.feat_vec]
+        parts = [state.y[0], nc.row(state.encoded, state.i - 1), state.feat_vec]
         if self.extended:
             parts += [state.a[0], state.d[0]]
         return self._scores(nc.concat(parts), self.valid_mask(state))
@@ -153,15 +141,15 @@ class HaemModel:
         if action.tag in ("COPY", "DELETE"):
             emb = self.char_emb(self.vocab.id_of(state.ex.attended_char()))
             if action.tag == "COPY":
-                y = self.lstm_y.step(emb, y[1])
+                y = self.lstm_y.step(emb, y)
             elif self.extended:
-                d = self.lstm_d.step(emb, d[1])
+                d = self.lstm_d.step(emb, d)
         elif action.tag == "WRITE":
-            y = self.lstm_y.step(self.char_emb(self.vocab.id_of(action.char)), y[1])
+            y = self.lstm_y.step(self.char_emb(self.vocab.id_of(action.char)), y)
             if self.extended:
-                d = (self.lstm_d.h0, self.lstm_d.initial_state())
+                d = (self.lstm_d.h0, self.lstm_d.c0)
         if self.extended:
-            a = self.lstm_a.step(self.act_emb(self.codec.id_of(action)), a[1])
+            a = self.lstm_a.step(self.act_emb(self.codec.id_of(action)), a)
         return replace(state, ex=ex, y=y, a=a, d=d)
 
     # --- training objective ---

@@ -120,16 +120,13 @@ class LstmCell:
         self.h0 = params.uniform(f"{name}.h0", (h,), rng)
         self.c0 = params.uniform(f"{name}.c0", (h,), rng)
 
-    def initial_state(self) -> tuple[Node, Node]:
-        return self.h0, self.c0
-
-    def step(self, x: Node, state: tuple[Node, Node]) -> tuple[Node, tuple[Node, Node]]:
+    def step(self, x: Node, state: tuple[Node, Node]) -> tuple[Node, Node]:
+        """The next (h, c) pair; start from (h0, c0)."""
         if x.value.shape != (self.input_size,):
             raise ValueError(
                 f"lstm step: input shape {x.value.shape} vs expected ({self.input_size},)"
             )
-        h, c = nc.lstm_step(x, self.w, self.b, *state)
-        return h, (h, c)
+        return nc.lstm_step(x, self.w, self.b, *state)
 
     def sequence(self, x: Node) -> Node:
         """Outputs for the rows of ``x`` (one input per row), starting from

@@ -93,7 +93,10 @@ class Adam:
         # it as None spares the zero fill of Node.grad, and a zero gradient
         # only decays the moments
         grads = [p._grad for p in self.params]
-        total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads if g is not None))
+        # einsum sums the squares without BLAS: np.vdot wakes OpenBLAS's
+        # worker thread, which then spins through the rest of the step
+        total = math.sqrt(sum(float(np.einsum("i,i->", g.ravel(), g.ravel()))
+                              for g in grads if g is not None))
         scale = CLIP_NORM / total if total > CLIP_NORM else 1.0
         self.t += 1
         root_bias2 = math.sqrt(1.0 - BETA2 ** self.t)
@@ -160,6 +163,8 @@ def train_model(arch: str, aligner: str, train: list[Sample], dev: list[Sample],
         raise TrainingError("empty dev set")
     if any(s.form is None for s in train):
         raise TrainingError("training set has unlabeled samples")
+    if any(s.form is None for s in dev):
+        raise TrainingError("dev set has unlabeled samples")
 
     align = ALIGNERS[aligner]
     derive = _oracle_fn(arch)

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: pipelines, config files, exit codes."""
 
+import ast
 import json
 import re
 import shlex
 import shutil
 import struct
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,9 @@ from hardmono.cli import build_parser, main
 from hardmono.corpus import parse_dataset
 from hardmono.serialize import FORMAT_VERSION, MAGIC
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
+PYPROJECT = TESTS.parent / "pyproject.toml"
 
 TINY = ["--hidden", "8", "--embed", "6", "--feat-embed", "3",
         "--epochs", "1", "--patience", "1", "--dropout", "0.0"]
@@ -273,6 +277,30 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: hardmono {shlex.join(argv)}")
+
+
+def _requirements(key):
+    """Distribution names in the ``key = [...]`` list of pyproject.toml, read
+    with a pattern: Python 3.10 has no tomllib."""
+    match = re.search(rf"^{key} = \[(.*?)\]", PYPROJECT.read_text(encoding="utf-8"), re.M | re.S)
+    assert match, f"pyproject.toml has no {key} list"
+    return {re.split(r"[<>=!~;\[ ]", requirement, maxsplit=1)[0].lower().replace("-", "_")
+            for requirement in re.findall(r'"([^"]+)"', match.group(1))}
+
+
+def test_test_imports_are_declared_dependencies():
+    imported = set()
+    for path in TESTS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    local = {"hardmono"} | {path.stem for path in TESTS.glob("*.py")}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    missing = third_party - _requirements("dependencies") - _requirements("dev")
+    assert not missing, f"tests import {sorted(missing)}, missing from the dev extra"
+    assert 'pip install -e ".[dev]"' in README.read_text(encoding="utf-8")
 
 
 def _edit_manifest(edit):

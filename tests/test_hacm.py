@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardmono import numcore as nc
+from hardmono import hacm as hacm_module
 from hardmono.align import naive_align, smart_align
 from hardmono.corpus import CharVocabulary, FeatureAlphabet
 from hardmono.hacm import HacmModel, ModelConfig
@@ -63,7 +64,7 @@ def test_decoder_input_dimension_law():
 def test_first_step_attends_frame_start():
     m = build()
     state = m.start("fog", ("V",))
-    assert state.i == 0 and state.s is None
+    assert state.i == 0 and state.attended is None
     bos_id = m.codec.id_of(m.codec.specials[1])
     state = m.step(state, bos_id)
     assert state.i == 0  # BOS consumed, pointer still on the frame start
@@ -114,7 +115,7 @@ def test_mixture_endpoints():
     m.gate.w.value[:] = 0.0
     m.gate.b.value[:] = 40.0  # w -> 1: pure generation
     p = m.distribution(state).value
-    p_gen = nc.softmax(m.gen(state.s)).value
+    p_gen = nc.softmax(m.gen(state.lstm[0])).value
     assert np.allclose(p, p_gen, atol=1e-12)
 
     m.gate.b.value[:] = -40.0  # w -> 0: pure copy of the attended 'f'
@@ -130,11 +131,37 @@ def test_copy_mass_lower_bound():
     for _ in range(100):
         state = random_reachable_state(m, rng)
         copy_id = m.copy_action_id(state)
-        gate_in = nc.concat([nc.row(state.ctx.frame, state.i), state.ctx.feat_vec,
-                             state.prev_emb, state.s])
+        gate_in = nc.concat([nc.row(state.frame, state.i), state.feat_vec,
+                             state.prev_emb, state.lstm[0]])
         w = float(nc.sigmoid(nc.pick(m.gate(gate_in), 0)).value)
         p = m.distribution(state).value
         assert p[copy_id] >= (1 - w) - 1e-12
+
+
+def test_step_reads_the_attended_frame_row_once(monkeypatch):
+    m = build(seed=9)
+    state = m.step(m.start("fog", ("V",)), m.codec.id_of(m.codec.specials[1]))
+    frame_reads = []
+    row = hacm_module.nc.row
+
+    def counted(table, index):
+        if table is state.frame:
+            frame_reads.append(index)
+        return row(table, index)
+
+    monkeypatch.setattr(hacm_module.nc, "row", counted)
+    state = m.step(state, m.codec.id_of(m.codec.specials[0]))
+    assert m.attended_oov(state) is None
+    m.distribution(state)
+    assert frame_reads == [1]
+
+
+def test_attended_is_the_frame_row_at_the_pointer():
+    m = build(seed=10)
+    rng = random.Random(10)
+    for _ in range(100):
+        state = random_reachable_state(m, rng)
+        assert np.array_equal(state.attended.value, nc.row(state.frame, state.i).value)
 
 
 def test_sentinel_positions_copy_sentinel_actions():
@@ -145,7 +172,7 @@ def test_sentinel_positions_copy_sentinel_actions():
     step_id = m.codec.id_of(m.codec.specials[0])
     for _ in range(3):
         state = m.step(state, step_id)
-    assert state.i == 3 == state.ctx.n + 1
+    assert state.i == 3 == state.ex.n + 1
     assert m.copy_action_id(state) == 2  # attending frame EOS
 
 

@@ -49,7 +49,7 @@ def test_mask_at_lemma_end():
     state = m.start("ab", ("V",))
     assert m.valid_mask(state).all()
     state = m.apply(m.apply(state, COPY), DELETE)
-    assert state.i == 3 == state.ctx.n + 1
+    assert state.i == 3 == state.ex.n + 1
     mask = m.valid_mask(state)
     assert not mask[m.COPY_ID] and not mask[m.DELETE_ID]
     assert mask[m.STOP_ID] and mask[3:].all()
@@ -79,7 +79,7 @@ def test_apply_golden_trace_reaches_frame_end():
     for action in haem_oracle(smart_align("fliegen", "flog")).actions:
         state = m.apply(state, action)
     assert state.out == "flog"
-    assert state.i == 8 == state.ctx.n + 1
+    assert state.i == 8 == state.ex.n + 1
     assert state.done
 
 

@@ -71,7 +71,7 @@ def test_lstm_zero_weights_zero_output():
     cell.b.value[:] = 0.0
     cell.h0.value[:] = 0.0
     cell.c0.value[:] = 0.0
-    out, _ = cell.step(nc.constant(np.zeros(2)), cell.initial_state())
+    out, _ = cell.step(nc.constant(np.zeros(2)), (cell.h0, cell.c0))
     assert np.array_equal(out.value, np.zeros(3))
 
 
@@ -79,7 +79,7 @@ def test_lstm_rejects_wrong_input_size():
     ps, rng = make()
     cell = LstmCell(ps, "lstm", 2, 3, rng)
     with pytest.raises(ValueError, match="input shape"):
-        cell.step(nc.constant(np.zeros(5)), cell.initial_state())
+        cell.step(nc.constant(np.zeros(5)), (cell.h0, cell.c0))
 
 
 def test_lstm_chained_steps_grad_check():
@@ -174,10 +174,11 @@ def test_lstm_run_is_bitwise_equal_to_chained_steps():
         ps, rng = make(seed)
         cell = LstmCell(ps, "lstm", width, hidden, rng)
         xs = [nc.constant(rng.uniform(-2, 2, size=width)) for _ in range(steps)]
-        state = cell.initial_state()
+        state = (cell.h0, cell.c0)
         outs = cell.sequence(nc.vstack(xs))
         for t, x in enumerate(xs):
-            h, state = cell.step(x, state)
+            state = cell.step(x, state)
+            h = state[0]
             assert np.array_equal(nc.row(outs, t).value, h.value)
 
 
@@ -197,9 +198,10 @@ def test_lstm_run_gradients_match_chained_steps():
         nc.backward(total)
         return [p.grad.copy() for p in ps.nodes() + xs]
 
-    stepped, state = [], cell.initial_state()
+    stepped, state = [], (cell.h0, cell.c0)
     for x in xs:
-        h, state = cell.step(x, state)
+        state = cell.step(x, state)
+        h = state[0]
         stepped.append(h)
     seq = cell.sequence(nc.vstack(xs))
     rows = [nc.row(seq, t) for t in range(len(xs))]

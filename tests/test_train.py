@@ -218,6 +218,20 @@ def test_input_validation():
         train_model("HACM", "smart", unlabeled, DEV, SIZES, FAST)
 
 
+def test_unlabeled_dev_fails_before_training(monkeypatch):
+    calls = []
+    sample_loss = HacmModel.sample_loss
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return sample_loss(self, *args, **kwargs)
+
+    monkeypatch.setattr(HacmModel, "sample_loss", counted)
+    with pytest.raises(TrainingError, match="unlabeled"):
+        train_model("HACM", "smart", TRAIN, DEV + [Sample("abc", ("V",))], SIZES, FAST)
+    assert len(calls) == 0
+
+
 def test_evaluate_rejects_unlabeled_and_empty():
     result = train_model("HACM", "smart", TRAIN, DEV, SIZES,
                          TrainConfig(epochs=1, patience=1, dropout=0.0, seed=0))
