@@ -18,7 +18,8 @@ from pathlib import Path
 
 from hardmono.align import ALIGNERS, render
 from hardmono.corpus import DataError, Sample, open_text, parse_dataset
-from hardmono.decode import greedy_decode, post_filter
+# not called here: perfbench/selftest.py checks that cli.greedy_decode is traced
+from hardmono.decode import greedy_decode
 from hardmono.ensemble import EnsembleError, Member, PoolEntry, run_strategy
 from hardmono.hacm import ModelConfig
 from hardmono.metrics import macro_report, render_table, render_tsv, score
@@ -190,9 +191,13 @@ def _load_pool(directories: list[str]) -> list[PoolEntry]:
 
 def _external_member(args, order: int) -> Member | None:
     if not args.external:
+        if args.external_dev or args.external_dev_acc is not None:
+            raise EnsembleError("--external-dev and --external-dev-acc need --external")
         return None
     if args.external_dev_acc is None:
         raise EnsembleError("--external needs --external-dev-acc")
+    if not 0.0 <= args.external_dev_acc <= 1.0:    # false for nan too
+        raise EnsembleError(f"--external-dev-acc {args.external_dev_acc} outside [0, 1]")
     dev_rows = tuple(_read_predictions(args.external_dev)) if args.external_dev else None
     return Member(args.external_name, args.external_dev_acc, order,
                   dev_rows, tuple(_read_predictions(args.external)))
@@ -231,6 +236,8 @@ def _resolve_counts(args) -> dict[tuple[str, str], int]:
 
 def cmd_run(args) -> int:
     # a bad configuration or data file is rejected before anything is written
+    if args.synth and args.no_form:
+        raise ValueError("--no-form contradicts --synth: synthetic test files have forms")
     model_config, train_config = _model_config(args), _train_config(args)
     counts = _resolve_counts(args)
     if not args.synth and not (args.train and args.dev and args.test):

@@ -53,9 +53,6 @@ class ParamSet:
     def nodes(self) -> list[Node]:
         return list(self._params.values())
 
-    def count(self) -> int:
-        return sum(p.value.size for p in self._params.values())
-
     def zero_grads(self) -> None:
         for p in self._params.values():
             p.zero_grad()
@@ -133,11 +130,6 @@ class LstmCell:
         the learned state, as one op."""
         return nc.lstm_seq(x, self.w, self.b, self.h0, self.c0)
 
-    @staticmethod
-    def param_count(input_size: int, hidden_size: int) -> int:
-        """4H(in+H) weights + 4H biases + 2H learned initial state."""
-        return 4 * hidden_size * (input_size + hidden_size) + 4 * hidden_size + 2 * hidden_size
-
 
 class BiEncoder:
     """Bidirectional single-layer LSTM; position i sees the whole input and
@@ -155,7 +147,3 @@ class BiEncoder:
         back = np.arange(x.value.shape[0])[::-1]
         bwd = nc.row(self.bwd.sequence(nc.row(x, back)), back)
         return nc.concat([self.fwd.sequence(x), bwd])
-
-    @staticmethod
-    def param_count(input_size: int, hidden_size: int) -> int:
-        return 2 * LstmCell.param_count(input_size, hidden_size)

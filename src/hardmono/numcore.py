@@ -2,8 +2,9 @@
 
 A computation builds a tape of Node objects (sequence lengths vary, so the
 graph is dynamic). backward() walks the tape once in reverse topological
-order; each op carries a closure that routes the incoming gradient to its
-parents. Gradients are float64 throughout.
+order. Every op builds its node through ``_op`` from its value and its
+local gradient rule, which maps the gradient of the result to one gradient
+per parent. Gradients are float64 throughout.
 
 Ops work on vectors and, where a loss needs row-wise work, on matrices
 with one time step per row. The teacher-forced training losses of both
@@ -68,18 +69,15 @@ class Node:
         self,
         value,
         parents: tuple["Node", ...] = (),
-        backprop: Callable[[], None] | None = None,
         requires_grad: bool = False,
         name: str = "",
     ):
         self.value = np.asarray(value, dtype=np.float64)
         if _FINITE_CHECKS and not np.all(np.isfinite(self.value)):
             raise FloatingPointError(f"non-finite value in node {name or '(anonymous)'}")
-        if _NO_GRAD and parents:
-            parents, backprop, requires_grad = (), None, False
         self._grad: np.ndarray | None = None
         self._parents = parents
-        self._backprop = backprop
+        self._backprop: Callable[[], None] | None = None
         self.requires_grad = requires_grad
         self.name = name
         self._ran = False        # set once a backward has walked the node
@@ -123,18 +121,28 @@ def constant(value, name: str = "") -> Node:
     return Node(value, requires_grad=False, name=name)
 
 
+def _op(name: str, value, parents: tuple[Node, ...],
+        grads: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Node:
+    """The node of one op with result ``value``. ``grads(g)`` maps the
+    gradient of the result to one gradient per parent, None where none
+    flows. Inside ``no_grad``, or when no parent requires a gradient, the
+    node records nothing; otherwise its backward closure accumulates
+    ``grads`` into the parents in order."""
+    if _NO_GRAD or not any(p.requires_grad for p in parents):
+        return Node(value, name=name)
+    out = Node(value, parents, requires_grad=True, name=name)
+
+    def backprop():
+        for p, g in zip(parents, grads(out._grad)):
+            if g is not None:
+                p.accum(g)
+    out._backprop = backprop
+    return out
+
+
 def _shape_error(op: str, *nodes: Node):
     shapes = " vs ".join(str(n.value.shape) for n in nodes)
     raise ValueError(f"{op}: incompatible shapes {shapes}")
-
-
-def _unary(op: str, a: Node, out_value: np.ndarray, dfn: Callable[[np.ndarray], np.ndarray]) -> Node:
-    out = Node(out_value, (a,), None, a.requires_grad, op)
-    if out.requires_grad:
-        def backprop():
-            a.accum(dfn(out._grad))
-        out._backprop = backprop
-    return out
 
 
 def add(a: Node, b: Node) -> Node:
@@ -143,17 +151,12 @@ def add(a: Node, b: Node) -> Node:
     rows = a.value.ndim == 2 and b.value.shape == a.value.shape[1:]
     if a.value.shape != b.value.shape and not rows:
         _shape_error("add", a, b)
-    out = Node(a.value + b.value, (a, b), None, a.requires_grad or b.requires_grad, "add")
-    if out.requires_grad:
-        def backprop():
-            a.accum(out._grad)
-            b.accum(out._grad.sum(axis=0) if rows else out._grad)
-        out._backprop = backprop
-    return out
+    return _op("add", a.value + b.value, (a, b),
+               lambda g: (g, g.sum(axis=0) if rows else g))
 
 
 def neg(a: Node) -> Node:
-    return _unary("neg", a, -a.value, lambda g: -g)
+    return _op("neg", -a.value, (a,), lambda g: (-g,))
 
 
 def sub(a: Node, b: Node) -> Node:
@@ -167,14 +170,11 @@ def scale(s: Node, v: Node) -> Node:
     if s.value.shape != () and not rows:
         _shape_error("scale (a scalar, or one per row of a matrix)", s, v)
     k = s.value[:, None] if rows else s.value
-    out = Node(k * v.value, (s, v), None, s.requires_grad or v.requires_grad, "scale")
-    if out.requires_grad:
-        def backprop():
-            gv = out._grad * v.value
-            s.accum(gv.sum(axis=1) if rows else np.sum(gv))
-            v.accum(out._grad * k)
-        out._backprop = backprop
-    return out
+
+    def grads(g):
+        gv = g * v.value
+        return gv.sum(axis=1) if rows else np.sum(gv), g * k
+    return _op("scale", k * v.value, (s, v), grads)
 
 
 def matvec(w: Node, x: Node) -> Node:
@@ -183,27 +183,14 @@ def matvec(w: Node, x: Node) -> Node:
     if w.value.ndim != 2 or x.value.ndim not in (1, 2) or w.value.shape[1] != x.value.shape[-1]:
         _shape_error("matvec", w, x)
     vector = x.value.ndim == 1
-    out_value = w.value @ x.value if vector else x.value @ w.value.T
-    out = Node(out_value, (w, x), None, w.requires_grad or x.requires_grad, "matvec")
-    if out.requires_grad:
-        def backprop():
-            g = out._grad
-            w.accum(np.outer(g, x.value) if vector else g.T @ x.value)
-            x.accum(g @ w.value)
-        out._backprop = backprop
-    return out
+    return _op("matvec", w.value @ x.value if vector else x.value @ w.value.T, (w, x),
+               lambda g: (np.outer(g, x.value) if vector else g.T @ x.value, g @ w.value))
 
 
 def dot(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape or a.value.ndim != 1:
         _shape_error("dot", a, b)
-    out = Node(a.value @ b.value, (a, b), None, a.requires_grad or b.requires_grad, "dot")
-    if out.requires_grad:
-        def backprop():
-            a.accum(out._grad * b.value)
-            b.accum(out._grad * a.value)
-        out._backprop = backprop
-    return out
+    return _op("dot", a.value @ b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
 
 def concat(parts: Sequence[Node]) -> Node:
@@ -214,15 +201,11 @@ def concat(parts: Sequence[Node]) -> Node:
     for p in parts:
         if p.value.ndim not in (1, 2) or p.value.shape[:-1] != lead:
             _shape_error("concat (vectors, or matrices with equal rows)", parts[0], p)
-    out_value = np.concatenate([p.value for p in parts], axis=-1)
-    out = Node(out_value, tuple(parts), None, any(p.requires_grad for p in parts), "concat")
-    if out.requires_grad:
+
+    def grads(g):
         offsets = np.cumsum([0] + [p.value.shape[-1] for p in parts])
-        def backprop():
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                p.accum(out._grad[..., lo:hi])
-        out._backprop = backprop
-    return out
+        return [g[..., lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return _op("concat", np.concatenate([p.value for p in parts], axis=-1), tuple(parts), grads)
 
 
 def vstack(parts: Sequence[Node]) -> Node:
@@ -234,15 +217,12 @@ def vstack(parts: Sequence[Node]) -> Node:
     for p in parts:
         if p.value.ndim not in (1, 2) or p.value.shape[-1:] != width:
             _shape_error("vstack", parts[0], p)
-    out = Node(np.vstack([p.value for p in parts]), tuple(parts), None,
-               any(p.requires_grad for p in parts), "vstack")
-    if out.requires_grad:
+
+    def grads(g):
         offsets = np.cumsum([0] + [p.value.shape[0] if p.value.ndim == 2 else 1 for p in parts])
-        def backprop():
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                p.accum(out._grad[lo:hi] if p.value.ndim == 2 else out._grad[lo])
-        out._backprop = backprop
-    return out
+        return [g[lo:hi] if p.value.ndim == 2 else g[lo]
+                for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])]
+    return _op("vstack", np.vstack([p.value for p in parts]), tuple(parts), grads)
 
 
 def row(m: Node, index: int | np.ndarray) -> Node:
@@ -260,17 +240,15 @@ def row(m: Node, index: int | np.ndarray) -> Node:
         bad = index.size and not (0 <= index.min() and index.max() < m.value.shape[0])
     if bad:
         raise IndexError(f"row {index} out of range for table {m.value.shape}")
-    out = Node(m.value[index].copy(), (m,), None, m.requires_grad, "row")
-    if out.requires_grad:
-        def backprop():
-            g = np.zeros_like(m.value)
-            if np.ndim(index):
-                np.add.at(g, index, out._grad)
-            else:
-                g[index] = out._grad
-            m.accum(g)
-        out._backprop = backprop
-    return out
+
+    def grads(g):
+        gm = np.zeros_like(m.value)
+        if np.ndim(index):
+            np.add.at(gm, index, g)
+        else:
+            gm[index] = g
+        return (gm,)
+    return _op("row", m.value[index].copy(), (m,), grads)
 
 
 def pick(a: Node, index: int | np.ndarray) -> Node:
@@ -289,14 +267,12 @@ def pick(a: Node, index: int | np.ndarray) -> Node:
         raise IndexError(f"pick {index} out of range for vector {a.value.shape}")
     else:
         where = index
-    out = Node(a.value[where], (a,), None, a.requires_grad, "pick")
-    if out.requires_grad:
-        def backprop():
-            g = np.zeros_like(a.value)
-            g[where] = out._grad
-            a.accum(g)
-        out._backprop = backprop
-    return out
+
+    def grads(g):
+        ga = np.zeros_like(a.value)
+        ga[where] = g
+        return (ga,)
+    return _op("pick", a.value[where], (a,), grads)
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -307,26 +283,18 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Node) -> Node:
     s = _sigmoid(a.value)
-    return _unary("sigmoid", a, s, lambda g: g * s * (1.0 - s))
+    return _op("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def relu(a: Node) -> Node:
     mask = a.value > 0
-    return _unary("relu", a, np.where(mask, a.value, 0.0), lambda g: g * mask)
+    return _op("relu", np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
 def log(a: Node) -> Node:
     if np.any(a.value <= 0):
         raise FloatingPointError(f"log of non-positive value (min {a.value.min():g})")
-    return _unary("log", a, np.log(a.value), lambda g: g / a.value)
-
-
-def _softmax_backprop(out: Node, a: Node, p: np.ndarray) -> None:
-    if out.requires_grad:
-        def backprop():
-            g = out._grad
-            a.accum(p * (g - (g * p).sum(axis=-1, keepdims=True)))
-        out._backprop = backprop
+    return _op("log", np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
 def softmax(a: Node) -> Node:
@@ -337,9 +305,7 @@ def softmax(a: Node) -> Node:
     z = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
-    out = Node(p, (a,), None, a.requires_grad, "softmax")
-    _softmax_backprop(out, a, p)
-    return out
+    return _op("softmax", p, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
 def masked_softmax(a: Node, valid: np.ndarray) -> Node:
@@ -361,9 +327,8 @@ def masked_softmax(a: Node, valid: np.ndarray) -> Node:
         z = np.where(valid, a.value, -np.inf)
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         p = e / e.sum(axis=-1, keepdims=True)
-    out = Node(p, (a,), None, a.requires_grad, "masked_softmax")
-    _softmax_backprop(out, a, p)
-    return out
+    return _op("masked_softmax", p, (a,),
+               lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
 def _lstm_row(w: np.ndarray, b: np.ndarray, xh: np.ndarray, c: np.ndarray,
@@ -382,15 +347,15 @@ def _lstm_row(w: np.ndarray, b: np.ndarray, xh: np.ndarray, c: np.ndarray,
     return c, tanh_c, o * tanh_c
 
 
-def _lstm_backward(parents: tuple[Node, ...], xh: np.ndarray, gates: np.ndarray,
+def _lstm_backward(x: Node, w: Node, xh: np.ndarray, gates: np.ndarray,
                    cells: np.ndarray, tanh_c: np.ndarray, dh_out: np.ndarray,
-                   dc_last: np.ndarray) -> None:
+                   dc_last: np.ndarray) -> tuple[np.ndarray | None, ...]:
     """Backpropagation through time over the T cached steps of an LSTM op
-    with parents (x, w, b, h0, c0). ``dh_out`` holds the gradient into each
-    step's hidden state, ``dc_last`` the gradient into the last cell state.
-    The weight gradient is one dZᵀ·[X; H_prev] matmul, and the bias, input,
-    h0 and c0 gradients come from the same pass."""
-    x, w, b, h0, c0 = parents
+    with parents (x, w, b, h0, c0), returning their five gradients.
+    ``dh_out`` holds the gradient into each step's hidden state, ``dc_last``
+    the gradient into the last cell state. The weight gradient is one
+    dZᵀ·[X; H_prev] matmul, and the bias, input, h0 and c0 gradients come
+    from the same pass; the input's is None when ``x`` needs none."""
     steps, hs = tanh_c.shape
     width = xh.shape[1] - hs
     i, f, o, g = gates.reshape(steps, 4, hs).transpose(1, 0, 2)
@@ -410,12 +375,8 @@ def _lstm_backward(parents: tuple[Node, ...], xh: np.ndarray, gates: np.ndarray,
         np.multiply(local[t, 2], dh, out=dz4[t, 2])
         dc_next = dc * f[t]
         dh_next = dz[t] @ w_h
-    w.accum(dz.T @ xh)
-    b.accum(dz.sum(axis=0))
-    if x.requires_grad:
-        x.accum((dz @ w.value)[:, :width].reshape(x.value.shape))
-    h0.accum(dh_next)
-    c0.accum(dc_next)
+    dx = (dz @ w.value)[:, :width].reshape(x.value.shape) if x.requires_grad else None
+    return dx, dz.T @ xh, dz.sum(axis=0), dh_next, dc_next
 
 
 def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node) -> Node:
@@ -444,13 +405,8 @@ def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node) -> Node:
         c, tanh_c[t], h = _lstm_row(w.value, b.value, xh[t], c, gates[t])
         cells[t + 1] = c
         out_value[t] = h
-    parents = (x, w, b, h0, c0)
-    out = Node(out_value, parents, None, any(p.requires_grad for p in parents), "lstm_seq")
-    if out.requires_grad:
-        def backprop():
-            _lstm_backward(parents, xh, gates, cells, tanh_c, out._grad, np.zeros(hs))
-        out._backprop = backprop
-    return out
+    return _op("lstm_seq", out_value, (x, w, b, h0, c0),
+               lambda g: _lstm_backward(x, w, xh, gates, cells, tanh_c, g, np.zeros(hs)))
 
 
 def lstm_step(x: Node, w: Node, b: Node, h: Node, c: Node) -> tuple[Node, Node]:
@@ -468,13 +424,8 @@ def lstm_step(x: Node, w: Node, b: Node, h: Node, c: Node) -> tuple[Node, Node]:
     cells = np.empty((2, hs))                         # c and the new c
     cells[0] = c.value
     cells[1], tanh_c, h_new = _lstm_row(w.value, b.value, xh[0], c.value, gates[0])
-    parents = (x, w, b, h, c)
-    out = Node(np.array([h_new, cells[1]]), parents, None,
-               any(p.requires_grad for p in parents), "lstm_step")
-    if out.requires_grad:
-        def backprop():
-            _lstm_backward(parents, xh, gates, cells, tanh_c[None], out._grad[:1], out._grad[1])
-        out._backprop = backprop
+    out = _op("lstm_step", np.array([h_new, cells[1]]), (x, w, b, h, c),
+              lambda g: _lstm_backward(x, w, xh, gates, cells, tanh_c[None], g[:1], g[1]))
     return row(out, 0), row(out, 1)
 
 
@@ -486,7 +437,7 @@ def dropout(a: Node, rate: float, rng: np.random.Generator) -> Node:
     if rate == 0.0:
         return a
     keep = (rng.random(a.value.shape) >= rate) / (1.0 - rate)
-    return _unary("dropout", a, a.value * keep, lambda g: g * keep)
+    return _op("dropout", a.value * keep, (a,), lambda g: (g * keep,))
 
 
 def _topo_order(root: Node) -> list[Node]:
@@ -538,13 +489,15 @@ def backward(loss: Node) -> None:
             node._ran = True
 
 
+_FD_STEP = 1e-5      # central-difference step of grad_check
+_EXACT_ATOL = 1e-8   # grad_check's absolute agreement that counts as exact
+
+
 def grad_check(
     f: Callable[[], Node],
     params: Sequence[Node],
-    h: float = 1e-5,
     samples_per_param: int | None = None,
     rng: random.Random | None = None,
-    atol: float = 1e-8,
 ) -> float:
     """Max relative error between backward() and central differences.
 
@@ -552,11 +505,11 @@ def grad_check(
     deterministic). ``samples_per_param`` limits how many coordinates per
     tensor are probed; default probes all of them.
 
-    Coordinates where analytic and numeric agree within ``atol`` count as
-    exact: the finite-difference noise floor sits near 1e-10 for losses of
-    order 10, so a relative metric on gradients that small measures noise,
-    not backprop correctness. A genuinely wrong gradient misses by the
-    gradient's own scale and sails past the gate.
+    Coordinates where analytic and numeric agree within ``_EXACT_ATOL``
+    count as exact: the finite-difference noise floor sits near 1e-10 for
+    losses of order 10, so a relative metric on gradients that small
+    measures noise, not backprop correctness. A genuinely wrong gradient
+    misses by the gradient's own scale and sails past the gate.
     """
     for p in params:
         p.zero_grad()
@@ -575,14 +528,14 @@ def grad_check(
             coords = rng.sample(range(flat_v.size), samples_per_param)
         for k in coords:
             orig = flat_v[k]
-            flat_v[k] = orig + h
+            flat_v[k] = orig + _FD_STEP
             up = float(f().value)
-            flat_v[k] = orig - h
+            flat_v[k] = orig - _FD_STEP
             down = float(f().value)
             flat_v[k] = orig
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * _FD_STEP)
             gap = abs(flat_g[k] - numeric)
-            if gap <= atol:
+            if gap <= _EXACT_ATOL:
                 continue
             worst = max(worst, gap / max(abs(flat_g[k]), abs(numeric), 1e-8))
     return worst

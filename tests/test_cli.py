@@ -161,6 +161,28 @@ def test_ensemble_external_needs_accuracy(lang, checkpoints, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--external", "EXT", "--external-dev-acc", "7"],
+    ["--external", "EXT", "--external-dev-acc", "-0.5"],
+    ["--external", "EXT", "--external-dev-acc", "nan"],
+    ["--external", "EXT", "--external-dev-acc", "inf"],
+    ["--external-dev", "EXT"],
+    ["--external-dev-acc", "0.5"],
+], ids=["acc-7", "acc-negative", "acc-nan", "acc-inf", "dev-alone", "acc-alone"])
+def test_ensemble_rejects_a_bad_external_member(lang, checkpoints, tmp_path, capsys, flags):
+    ext = tmp_path / "ext.txt"
+    ext.write_text("x\n" * 6)
+    out = tmp_path / "ens.tsv"
+    code = main(["ensemble", "--run", "5",
+                 "--pool", str(checkpoints / "HACM_smart"), str(checkpoints / "HAEM_smart"),
+                 "--dev", str(lang / "dev.tsv"), "--test", str(lang / "test.tsv"),
+                 "--out", str(out), *(str(ext) if f == "EXT" else f for f in flags)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "external" in err
+    assert not out.exists()
+
+
 def test_ensemble_rejects_a_checkpoint_given_twice(lang, checkpoints, tmp_path, capsys):
     dirs = [str(checkpoints / d) for d in ("HACM_smart", "HACM_naive")]
     out = tmp_path / "ens2.tsv"
@@ -229,7 +251,8 @@ def test_train_bad_learning_rate_is_a_usage_error(lang, tmp_path, capsys, lr):
     (["--train", "t.tsv"], 2),
     (["--train", "missing/train.tsv", "--dev", "missing/dev.tsv",
       "--test", "missing/test.tsv"], 2),
-], ids=["epochs-0", "hidden-0", "negative-count", "no-data", "missing-data"])
+    (["--synth", "--no-form"], 1),
+], ids=["epochs-0", "hidden-0", "negative-count", "no-data", "missing-data", "synth-no-form"])
 def test_run_rejects_a_bad_config_before_writing(tmp_path, capsys, flags, code):
     argv = ["run", "--out", str(tmp_path / "d"), "--train-size", "4", "--dev-size", "2",
             "--test-size", "2", *TINY, *flags]

@@ -103,15 +103,6 @@ def test_lstm_gradient_flows_to_initial_state():
     assert np.any(cell.c0.grad != 0)
 
 
-def test_param_count_formulas():
-    ps, rng = make()
-    LstmCell(ps, "lstm", 7, 5, rng)
-    assert ps.count() == LstmCell.param_count(7, 5)
-    ps2, rng2 = make()
-    BiEncoder(ps2, "enc", 7, 5, rng2)
-    assert ps2.count() == BiEncoder.param_count(7, 5)
-
-
 def test_bi_encoder_shapes_and_length():
     ps, rng = make(5)
     enc = BiEncoder(ps, "enc", 3, 4, rng)

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import random
 
 import numpy as np
@@ -388,6 +389,71 @@ def test_no_grad_builds_no_tape():
     on_tape = nc.sigmoid(nc.matvec(w, nc.constant([0.5, -1.0])))
     assert on_tape.requires_grad and on_tape._backprop is not None
     assert np.array_equal(on_tape.value, out.value)
+
+
+def _values(*shapes):
+    rng = np.random.default_rng(21)
+    return [rng.uniform(0.5, 1.5, size=shape) for shape in shapes]   # positive, for log
+
+
+# every public op: how to call it on its inputs, and the input values
+OPS = {
+    "add": (nc.add, _values(3, 3)),
+    "neg": (nc.neg, _values(3)),
+    "sub": (nc.sub, _values(3, 3)),
+    "scale": (nc.scale, _values((), (2, 3))),
+    "matvec": (nc.matvec, _values((2, 3), 3)),
+    "dot": (nc.dot, _values(3, 3)),
+    "concat": (lambda *parts: nc.concat(parts), _values(2, 3)),
+    "vstack": (lambda *parts: nc.vstack(parts), _values(3, (2, 3))),
+    "row": (lambda m: nc.row(m, 1), _values((3, 2))),
+    "pick": (lambda a: nc.pick(a, 2), _values(3)),
+    "sigmoid": (nc.sigmoid, _values(3)),
+    "relu": (nc.relu, [v - 1.0 for v in _values(3)]),
+    "log": (nc.log, _values(3)),
+    "softmax": (nc.softmax, _values((2, 3))),
+    "masked_softmax": (lambda a: nc.masked_softmax(a, np.array([True, False, True])),
+                       _values(3)),
+    "lstm_seq": (nc.lstm_seq, _values((4, 2), (12, 5), 12, 3, 3)),
+    "lstm_step": (nc.lstm_step, _values(2, (12, 5), 12, 3, 3)),
+    "dropout": (lambda a: nc.dropout(a, 0.5, np.random.default_rng(0)), _values(8)),
+}
+NOT_OPS = {"param", "constant", "no_grad", "finite_checks", "backward", "grad_check"}
+PUBLIC = sorted(name for name, obj in vars(nc).items()
+                if inspect.isfunction(obj) and obj.__module__ == nc.__name__
+                and not name.startswith("_") and name not in NOT_OPS)
+
+
+def _results(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_every_op_records_its_inputs_only_on_the_tape(name):
+    assert name in OPS, f"public function numcore.{name} has no case in OPS"
+    build, values = OPS[name]
+    inputs = [nc.param(v) for v in values]
+    taped = build(*inputs)
+    node, expected, op = taped, tuple(inputs), name
+    if name == "lstm_step":        # the two rows read the op's node
+        h, c = taped
+        assert h._parents == c._parents and len(h._parents) == 1
+        node = h._parents[0]
+    elif name == "sub":            # add(a, neg(b))
+        negated = node._parents[1]
+        assert negated.name == "neg" and negated._parents == (inputs[1],)
+        expected, op = (inputs[0], negated), "add"
+    assert node.name == op
+    assert node._parents == expected
+    assert node.requires_grad and node._backprop is not None
+
+    with nc.no_grad():
+        free = build(*inputs)
+    constant = build(*[nc.constant(v) for v in values])
+    for out in (free, constant):
+        for got, want in zip(_results(out), _results(taped), strict=True):
+            assert got._parents == () and got._backprop is None and not got.requires_grad
+            assert got.value.tobytes() == want.value.tobytes()
 
 
 def test_no_grad_restores_the_flag_when_its_block_raises():
