@@ -18,9 +18,9 @@ from pathlib import Path
 
 from hardmono.align import ALIGNERS, render
 from hardmono.corpus import DataError, Sample, open_text, parse_dataset
-# not called here: perfbench/selftest.py checks that cli.greedy_decode is traced
+# greedy_decode and predict are not called here: perfbench/selftest.py checks they are traced
 from hardmono.decode import greedy_decode
-from hardmono.ensemble import EnsembleError, Member, PoolEntry, run_strategy
+from hardmono.ensemble import EnsembleError, Member, PoolEntry, require_run_cells, run_strategy
 from hardmono.hacm import ModelConfig
 from hardmono.metrics import macro_report, render_table, render_tsv, score
 from hardmono.numcore import GradError
@@ -32,7 +32,8 @@ from hardmono.train import (
     TrainConfig,
     TrainingError,
     population_counts,
-    predict,
+    predict,  # see the note above the decode import
+    predict_all,
     train_model,
     train_population,
 )
@@ -138,7 +139,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model, _ = load_checkpoint(args.model)
     samples = parse_dataset(args.input, has_form=not args.no_form)
-    predictions = [predict(model, s) for s in samples]
+    predictions = predict_all(model, samples)
     _emit(args, _prediction_lines(samples, predictions))
     return 0
 
@@ -231,6 +232,7 @@ def _resolve_counts(args) -> dict[tuple[str, str], int]:
             counts[cell] = value
     if sum(counts.values()) == 0:
         raise EnsembleError("empty pool")
+    require_run_cells(args.run, counts)
     return counts
 
 

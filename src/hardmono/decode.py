@@ -7,18 +7,32 @@ characters, and a bounded total action count. Cap hits are marked
 LENGTH_CAP and the post filter replaces such predictions (and any
 prediction containing a character repeated 10+ times in a row) with the
 lemma itself.
+
+``greedy_decode`` runs one input through the model's per-step API.
+``greedy_decode_all`` decodes a list in lockstep: each input is encoded by
+the model's ``start``, then all unfinished inputs advance together, so
+each LSTM step is one matrix product over their rows and each output head
+runs once per step. Every input keeps its own executor and leaves the
+batch when it finishes. Both loops apply the same decode rules (``_Row``,
+``_hacm_next``, ``_haem_action``). A product over many rows rounds
+differently from one over a vector, so the lockstep distributions match
+the per-input ones to rounding (the tests allow 1e-12), and the
+predictions are the same unless two actions tie that closely.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from hardmono import numcore as nc
-from hardmono.hacm import HacmModel
-from hardmono.haem import HaemModel
-from hardmono.oracle import HACM, OracleSequence, write
+from hardmono.hacm import HacmModel, HacmState
+from hardmono.haem import HaemModel, HaemState
+from hardmono.nn import EmbeddingTable, LstmCell
+from hardmono.numcore import Node
+from hardmono.oracle import HACM, Action, HacmExecutor, OracleSequence, write
 
 END_ACTION = "END_ACTION"
 LENGTH_CAP = "LENGTH_CAP"
@@ -40,6 +54,40 @@ def _total_cap(n: int) -> int:
     return 2 * n + 64
 
 
+class _Row:
+    """One input's decode so far, and the two caps that can end it."""
+
+    def __init__(self, lemma: str, trace: list[Action]):
+        self.write_cap = len(lemma) + MAX_EXTRA_CHARS
+        self.steps_left = _total_cap(len(lemma))
+        self.out = ""          # HACM's output; HAEM's executor keeps its own
+        self.trace = trace
+        self.ended: str | None = None
+
+    def fits(self, out: str) -> bool:
+        """Whether one more character fits after ``out``; a full output
+        ends the decode at the cap."""
+        if len(out) < self.write_cap:
+            return True
+        self.ended = LENGTH_CAP
+        return False
+
+    def end_step(self, finished: bool) -> bool:
+        """Close one step. The decode ends by its end action when
+        ``finished``, and at the cap once the total step count is spent.
+        True while it goes on."""
+        if finished:
+            self.ended = END_ACTION
+        else:
+            self.steps_left -= 1
+            if not self.steps_left:
+                self.ended = LENGTH_CAP
+        return self.ended is None
+
+    def result(self, out: str, arch: str) -> DecodeResult:
+        return DecodeResult(out, OracleSequence(tuple(self.trace), arch), self.ended)
+
+
 def greedy_decode(model: HacmModel | HaemModel, lemma: str,
                   features: tuple[str, ...]) -> DecodeResult:
     """Decode without a tape: nothing differentiates the result."""
@@ -51,67 +99,219 @@ def greedy_decode(model: HacmModel | HaemModel, lemma: str,
         return _decode_haem(model, lemma, features)
 
 
-def _decode_hacm(model: HacmModel, lemma: str, features: tuple[str, ...]) -> DecodeResult:
-    codec = model.codec
-    step_id = codec.id_of(codec.specials[0])
-    bos, eos = codec.specials[1], codec.specials[2]
-    write_cap = len(lemma) + MAX_EXTRA_CHARS
+def greedy_decode_all(model: HacmModel | HaemModel,
+                      inputs: Sequence[tuple[str, tuple[str, ...]]]) -> list[DecodeResult]:
+    """``greedy_decode`` of every (lemma, features) input, in lockstep."""
+    if any(not lemma for lemma, _ in inputs):
+        raise ValueError("empty lemma")
+    if not inputs:
+        return []
+    with nc.no_grad():
+        states = [model.start(lemma, features) for lemma, features in inputs]
+        if model.arch == HACM:
+            return _decode_all_hacm(model, states)
+        return _decode_all_haem(model, states)
 
+
+# --- the copy-mixture model ---
+
+
+def _hacm_next(model: HacmModel, ex: HacmExecutor, dist: np.ndarray | None,
+               row: _Row) -> int | None:
+    """HACM's rules after a decoder step that left the pointer at ``ex``.
+    ``dist`` is the step's distribution, None when the attended character
+    is out of vocabulary. Returns the action id the next step consumes, or
+    None once the decode has ended."""
+    codec = model.codec
+    if dist is None:
+        # attended character unseen in training: copy it outright and let
+        # STEP stand in as the previous action
+        if not row.fits(row.out):
+            return None
+        char = ex.frame_symbol().char
+        row.out += char
+        row.trace += [write(char), codec.specials[0]]
+        return codec.id_of(codec.specials[0]) if row.end_step(False) else None
+    action_id = int(np.argmax(dist))
+    action = codec.action_of(action_id)
+    if action.tag == "STEP" and ex.i == ex.n + 1:
+        # the pointer cannot leave the frame; an argmax STEP here can only
+        # mean the model is done
+        action = codec.specials[2]
+        action_id = codec.id_of(action)
+    if action.tag == "WRITE":
+        if not row.fits(row.out):
+            return None
+        row.out += action.char
+    row.trace.append(action)
+    return action_id if row.end_step(action.tag == "EOS") else None
+
+
+def _decode_hacm(model: HacmModel, lemma: str, features: tuple[str, ...]) -> DecodeResult:
+    bos = model.codec.specials[1]
+    row = _Row(lemma, [bos])
     state = model.start(lemma, features)
-    out = ""
-    trace = [bos]
-    prev = codec.id_of(bos)
-    terminated = LENGTH_CAP
-    for _ in range(_total_cap(len(lemma))):
+    prev = model.codec.id_of(bos)
+    while prev is not None:
         state = model.step(state, prev)
-        oov = model.attended_oov(state)
-        if oov is not None:
-            # attended character unseen in training: copy it outright and
-            # let STEP stand in as the previous action
-            if len(out) == write_cap:
-                break
-            out += oov
-            trace.append(write(oov))
-            trace.append(codec.specials[0])
-            prev = step_id
-            continue
-        dist = model.distribution(state).value
-        action_id = int(np.argmax(dist))
-        action = codec.action_of(action_id)
-        if action.tag == "STEP" and state.i == state.ex.n + 1:
-            # the pointer cannot leave the frame; an argmax STEP here can
-            # only mean the model is done
-            action, action_id = eos, codec.id_of(eos)
-        if action.tag == "WRITE":
-            if len(out) == write_cap:
-                break
-            out += action.char
-        trace.append(action)
-        if action.tag == "EOS":
-            terminated = END_ACTION
-            break
-        prev = action_id
-    return DecodeResult(out, OracleSequence(tuple(trace), HACM), terminated)
+        oov = model.attended_oov(state) is not None
+        prev = _hacm_next(model, state.ex, None if oov else model.distribution(state).value, row)
+    return row.result(row.out, HACM)
+
+
+def _decode_all_hacm(model: HacmModel, states: list[HacmState]) -> list[DecodeResult]:
+    codec = model.codec
+    bos = codec.specials[1]
+    rows = [_Row(s.ex.lemma, [bos]) for s in states]
+    exs = [s.ex for s in states]
+    prev = [codec.id_of(bos)] * len(states)
+    # every input's frame in one table, so that one gather reads a step's
+    # attended rows
+    frames, first = _stack([s.frame for s in states])
+    feats = nc.vstack([s.feat_vec for s in states])
+    lstm = _stack_states([s.lstm for s in states])
+    active = np.arange(len(states))
+    while active.size:
+        for r in active:
+            exs[r] = exs[r].apply(codec.action_of(prev[r]))
+        emb = model.act_emb(np.array([prev[r] for r in active]))
+        attended = nc.row(frames, first[active] + np.array([exs[r].i for r in active]))
+        feat = nc.row(feats, active)
+        lstm = model.decoder.step(nc.concat([emb, attended, feat]), lstm)
+        copy_ids = [model._copy_id(exs[r]) for r in active]
+        # rows attending an out-of-vocabulary character skip the head
+        head = np.array([k for k, cid in enumerate(copy_ids) if cid is not None], dtype=int)
+        dists = [None] * len(active)
+        if head.size:
+            mixture = model._mixture(nc.row(attended, head), nc.row(feat, head),
+                                     nc.row(emb, head), nc.row(lstm[0], head),
+                                     np.array([copy_ids[k] for k in head]))
+            for k, dist in zip(head, mixture.value):
+                dists[k] = dist
+        keep = []
+        for k, r in enumerate(active):
+            action_id = _hacm_next(model, exs[r], dists[k], rows[r])
+            if action_id is not None:
+                prev[r] = action_id
+                keep.append(k)
+        keep = np.array(keep, dtype=int)
+        active = active[keep]
+        lstm = (nc.row(lstm[0], keep), nc.row(lstm[1], keep))
+    return [row.result(row.out, HACM) for row in rows]
+
+
+# --- the edit-action model ---
+
+
+def _haem_action(model: HaemModel, out: str, dist: np.ndarray, row: _Row) -> Action | None:
+    """HAEM's argmax action for a decode whose output so far is ``out``,
+    recorded in the trace; None once the decode has ended at the write
+    cap."""
+    action = model.codec.action_of(int(np.argmax(dist)))
+    if action.tag in ("WRITE", "COPY") and not row.fits(out):
+        return None
+    row.trace.append(action)
+    return action
 
 
 def _decode_haem(model: HaemModel, lemma: str, features: tuple[str, ...]) -> DecodeResult:
-    codec = model.codec
-    write_cap = len(lemma) + MAX_EXTRA_CHARS
-
+    row = _Row(lemma, [])
     state = model.start(lemma, features)
-    trace = []
-    terminated = LENGTH_CAP
-    for _ in range(_total_cap(len(lemma))):
-        dist = model.distribution(state).value
-        action = codec.action_of(int(np.argmax(dist)))
-        if action.tag in ("WRITE", "COPY") and len(state.out) == write_cap:
+    while True:
+        action = _haem_action(model, state.out, model.distribution(state).value, row)
+        if action is None:
             break
-        trace.append(action)
         state = model.apply(state, action)
-        if state.done:
-            terminated = END_ACTION
+        if not row.end_step(state.done):
             break
-    return DecodeResult(state.out, OracleSequence(tuple(trace), model.arch), terminated)
+    return row.result(state.out, model.arch)
+
+
+def _decode_all_haem(model: HaemModel, states: list[HaemState]) -> list[DecodeResult]:
+    rows = [_Row(s.ex.lemma, []) for s in states]
+    exs = [s.ex for s in states]
+    encoded, first = _stack([s.encoded for s in states])
+    feats = nc.vstack([s.feat_vec for s in states])
+    y = _stack_states([s.y for s in states])
+    if model.extended:
+        a, d = _stack_states([s.a for s in states]), _stack_states([s.d for s in states])
+    active = np.arange(len(states))
+    while active.size:
+        parts = [y[0], nc.row(encoded, first[active] + np.array([exs[r].i - 1 for r in active])),
+                 nc.row(feats, active)]
+        if model.extended:
+            parts += [a[0], d[0]]
+        valid = np.array([model._valid(exs[r]) for r in active])
+        dists = model._scores(nc.concat(parts), valid).value
+        # which kept rows step y and d, and on which ids; every kept row
+        # steps a
+        keep, y_steps, y_ids, d_steps, d_ids, d_resets, a_ids = [], [], [], [], [], [], []
+        for k, r in enumerate(active):
+            ex = exs[r]
+            action = _haem_action(model, ex.out, dists[k], rows[r])
+            if action is None:
+                continue
+            exs[r] = ex.apply(action)
+            if not rows[r].end_step(exs[r].done):
+                continue
+            at = len(keep)
+            keep.append(k)
+            a_ids.append(model.codec.id_of(action))
+            y_id, d_id, restart = model._feeds(ex, action)
+            if y_id is not None:
+                y_steps.append(at)
+                y_ids.append(y_id)
+            if d_id is not None:
+                d_steps.append(at)
+                d_ids.append(d_id)
+            elif restart:
+                d_resets.append(at)
+        keep = np.array(keep, dtype=int)
+        active = active[keep]
+        y = _advance(model.lstm_y, model.char_emb, y, keep, y_steps, y_ids)
+        if model.extended:
+            d = _advance(model.lstm_d, model.char_emb, d, keep, d_steps, d_ids, d_resets)
+            a = _advance(model.lstm_a, model.act_emb, a, keep, range(len(keep)), a_ids)
+    return [row.result(ex.out, model.arch) for row, ex in zip(rows, exs)]
+
+
+# --- batch bookkeeping ---
+
+
+def _stack(tables: list[Node]) -> tuple[Node, np.ndarray]:
+    """All rows of ``tables`` in one table, and the row where each starts."""
+    return nc.vstack(tables), np.cumsum([0] + [t.shape[0] for t in tables[:-1]])
+
+
+def _stack_states(states: list[tuple[Node, Node]]) -> tuple[Node, Node]:
+    """Per-input LSTM (h, c) vectors as one (h, c) pair of row matrices."""
+    return nc.vstack([h for h, _ in states]), nc.vstack([c for _, c in states])
+
+
+def _advance(cell: LstmCell, emb: EmbeddingTable, state: tuple[Node, Node],
+             keep: np.ndarray, steps: Sequence[int], ids: list[int],
+             resets: Sequence[int] = ()) -> tuple[Node, Node]:
+    """The LSTM states of the batch rows ``keep`` after one action. Kept
+    row j (the j-th entry of ``keep``) steps on the embedding of its id when
+    listed in ``steps``, restarts from the cell's learned state when listed
+    in ``resets``, and otherwise keeps its state."""
+    h, c = state
+    source = list(keep)          # the row of [h; stepped; initial] each kept row reads
+    hs, cs = [h], [c]
+    if len(steps):
+        rows = keep[np.asarray(steps)]
+        new = cell.step(emb(np.array(ids)), (nc.row(h, rows), nc.row(c, rows)))
+        for k, j in enumerate(steps):
+            source[j] = h.shape[0] + k
+        hs.append(new[0])
+        cs.append(new[1])
+    if resets:
+        for j in resets:
+            source[j] = h.shape[0] + len(steps)
+        hs.append(cell.h0)
+        cs.append(cell.c0)
+    index = np.array(source, dtype=int)
+    return nc.row(nc.vstack(hs), index), nc.row(nc.vstack(cs), index)
 
 
 def has_runaway_repeat(text: str, threshold: int = MAX_RUN_LENGTH) -> bool:

@@ -22,8 +22,10 @@ Runs over the four (architecture, aligner) cells:
     6  ENSEMBLE_15 over all four cells
     7  MAX { run 5, run 6 }
 
-where E(cell) is the majority vote over every model in the cell.  The pool
-is a registration-ordered list of ``PoolEntry``s.  An external line-aligned
+where E(cell) is the majority vote over every model in the cell.
+``RUN_CELLS`` holds the cells each run votes over; a run fails when one of
+them is empty, and decodes only their members.  The pool is a
+registration-ordered list of ``PoolEntry``s.  An external line-aligned
 predictions file may join runs 5-7 as a ready-made ``Member`` with a
 caller-supplied dev accuracy: one more MAX candidate in run 5, one more
 voter in run 6.
@@ -32,6 +34,7 @@ voter in run 6.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from hardmono.align import ALIGNERS
@@ -40,8 +43,12 @@ from hardmono.metrics import accuracy
 from hardmono.oracle import HACM, HAEM
 from hardmono.train import predict
 
-RUN_IDS = (1, 2, 3, 4, 5, 6, 7)
-CELLS = ((HACM, "naive"), (HACM, "smart"), (HAEM, "naive"), (HAEM, "smart"))
+HACM_CELLS = ((HACM, "naive"), (HACM, "smart"))
+HAEM_CELLS = ((HAEM, "naive"), (HAEM, "smart"))
+CELLS = HACM_CELLS + HAEM_CELLS
+# the cells each run votes over, in the order in which MAX breaks ties
+RUN_CELLS = {1: HACM_CELLS, 2: HACM_CELLS, 3: HAEM_CELLS, 4: HAEM_CELLS,
+             5: CELLS, 6: CELLS, 7: CELLS}
 
 
 class EnsembleError(ValueError):
@@ -155,7 +162,20 @@ def _gold_forms(dev: list[Sample]) -> list[str]:
     return [s.form for s in dev]
 
 
-def _members(pool: list[PoolEntry], dev: list[Sample], test: list[Sample]) -> list[Member]:
+def require_run_cells(run: int, counts: Mapping[tuple[str, str], int]) -> None:
+    """Reject ``run`` when a cell it votes over has no models; ``counts``
+    maps (arch, aligner) cells to model counts."""
+    if run not in RUN_CELLS:
+        raise EnsembleError(f"unknown run {run} (valid: 1-7)")
+    for arch, aligner in RUN_CELLS[run]:
+        if not counts.get((arch, aligner)):
+            raise EnsembleError(f"pool has no {arch}/{aligner} models")
+
+
+def _members(run: int, pool: list[PoolEntry], dev: list[Sample],
+             test: list[Sample]) -> list[Member]:
+    """The members of the cells ``run`` votes over, decoded; the pool is
+    checked before anything is decoded."""
     names = set()
     for e in pool:
         if e.name in names:
@@ -163,24 +183,18 @@ def _members(pool: list[PoolEntry], dev: list[Sample], test: list[Sample]) -> li
         if e.aligner not in ALIGNERS:
             raise EnsembleError(f"unknown aligner {e.aligner!r}")
         names.add(e.name)
+    require_run_cells(run, Counter((e.model.arch, e.aligner) for e in pool))
     return [Member(e.name, e.dev_accuracy, order,
                    tuple(predict(e.model, s) for s in dev),
                    tuple(predict(e.model, s) for s in test), (e.model.arch, e.aligner))
-            for order, e in enumerate(pool)]
-
-
-def _cell_members(members: list[Member], arch: str, aligner: str) -> list[Member]:
-    cell = [m for m in members if m.cell == (arch, aligner)]
-    if not cell:
-        raise EnsembleError(f"pool has no {arch}/{aligner} models")
-    return cell
+            for order, e in enumerate(pool) if (e.model.arch, e.aligner) in RUN_CELLS[run]]
 
 
 def run_strategy(run: int, pool: list[PoolEntry], dev: list[Sample], test: list[Sample],
                  external: Member | None = None) -> RunResult:
     """Execute one numbered run against the pool and return its test
     predictions along with the dev accuracy that selected them."""
-    if run not in RUN_IDS:
+    if run not in RUN_CELLS:
         raise EnsembleError(f"unknown run {run} (valid: 1-7)")
     if external is not None:
         if run not in (5, 6, 7):
@@ -192,30 +206,24 @@ def run_strategy(run: int, pool: list[PoolEntry], dev: list[Sample], test: list[
             raise EnsembleError(f"external dev predictions have {len(external.dev)} rows "
                                 f"for {len(dev)} dev samples")
     gold = _gold_forms(dev)
-    members = _members(pool, dev, test)
+    members = _members(run, pool, dev, test)
 
-    def cell_vote(arch: str, aligner: str) -> System:
-        return System(f"E({arch}/{aligner})", tuple(_cell_members(members, arch, aligner)))
+    cell_votes = [System(f"E({arch}/{aligner})",
+                         tuple(m for m in members if m.cell == (arch, aligner)))
+                  for arch, aligner in RUN_CELLS[run]]
 
-    def cells(arch: str) -> list[Member]:
-        return _cell_members(members, arch, "naive") + _cell_members(members, arch, "smart")
-
-    if run == 1:
-        chosen = max_strategy([cell_vote(HACM, "naive"), cell_vote(HACM, "smart")], gold)
-    elif run == 2:
-        chosen = ensemble_n(cells(HACM), 7, "ENSEMBLE_7(HACM)")
-    elif run == 3:
-        chosen = max_strategy([cell_vote(HAEM, "naive"), cell_vote(HAEM, "smart")], gold)
-    elif run == 4:
-        chosen = ensemble_n(cells(HAEM), 7, "ENSEMBLE_7(HAEM)")
+    if run in (1, 3):
+        chosen = max_strategy(cell_votes, gold)
+    elif run in (2, 4):
+        arch = RUN_CELLS[run][0][0]
+        chosen = ensemble_n(members, 7, f"ENSEMBLE_7({arch})")
     else:
-        candidates = [cell_vote(a, al) for a, al in CELLS]
-        pool_members = cells(HACM) + cells(HAEM)
+        candidates, voters = cell_votes, members
         if external is not None:
             candidates.append(System(external.name, (external,)))
-            pool_members = pool_members + [external]
+            voters = members + [external]
         run5 = max_strategy(candidates, gold)
-        run6 = ensemble_n(pool_members, 15, "ENSEMBLE_15")
+        run6 = ensemble_n(voters, 15, "ENSEMBLE_15")
         if run == 5:
             chosen = run5
         elif run == 6:

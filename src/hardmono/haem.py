@@ -131,24 +131,35 @@ class HaemModel:
 
     # --- transitions ---
 
+    def _feeds(self, ex: HaemExecutor, action: Action) -> tuple[int | None, int | None, bool]:
+        """How ``action``, run from ``ex``, feeds the tracking LSTMs: the
+        character id the output LSTM y steps on (the copied or written
+        character), the id the deleted-run LSTM d steps on (the deleted
+        one), None where an LSTM does not step, and whether d restarts (on
+        every WRITE). The action-history LSTM a steps on every action."""
+        if action.tag == "COPY":
+            return self.vocab.id_of(ex.attended_char()), None, False
+        if action.tag == "DELETE":
+            return None, self.vocab.id_of(ex.attended_char()), False
+        if action.tag == "WRITE":
+            return self.vocab.id_of(action.char), None, True
+        return None, None, False
+
     def apply(self, state: HaemState, action: Action) -> HaemState:
         """Execute one action. The executor updates output, attention index,
         and done, and rejects invalid actions (COPY/DELETE past the lemma,
         anything after STOP); callers decode against valid_mask. The tracking
         LSTMs then consume the action."""
         ex = state.ex.apply(action)
+        y_id, d_id, restart = self._feeds(state.ex, action)
         y, a, d = state.y, state.a, state.d
-        if action.tag in ("COPY", "DELETE"):
-            emb = self.char_emb(self.vocab.id_of(state.ex.attended_char()))
-            if action.tag == "COPY":
-                y = self.lstm_y.step(emb, y)
-            elif self.extended:
-                d = self.lstm_d.step(emb, d)
-        elif action.tag == "WRITE":
-            y = self.lstm_y.step(self.char_emb(self.vocab.id_of(action.char)), y)
-            if self.extended:
-                d = (self.lstm_d.h0, self.lstm_d.c0)
+        if y_id is not None:
+            y = self.lstm_y.step(self.char_emb(y_id), y)
         if self.extended:
+            if d_id is not None:
+                d = self.lstm_d.step(self.char_emb(d_id), d)
+            elif restart:
+                d = (self.lstm_d.h0, self.lstm_d.c0)
             a = self.lstm_a.step(self.act_emb(self.codec.id_of(action)), a)
         return replace(state, ex=ex, y=y, a=a, d=d)
 
@@ -186,14 +197,13 @@ class HaemModel:
             valid.append(self._valid(ex))
             y_rows.append(len(y_ids))
             d_rows.append(d_start + len(d_runs[-1]))
-            attended = ex.attended_char()
+            y_id, d_id, restart = self._feeds(ex, action)
             ex = ex.apply(action)
-            if action.tag == "COPY":
-                y_ids.append(self.vocab.id_of(attended))
-            elif action.tag == "DELETE":
-                d_runs[-1].append(self.vocab.id_of(attended))
-            elif action.tag == "WRITE":
-                y_ids.append(self.vocab.id_of(action.char))
+            if y_id is not None:
+                y_ids.append(y_id)
+            if d_id is not None:
+                d_runs[-1].append(d_id)
+            elif restart:
                 d_start += len(d_runs[-1]) + 1
                 d_runs.append([])
         steps = len(targets)

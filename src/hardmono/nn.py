@@ -2,8 +2,9 @@
 and a bidirectional encoder.
 
 Layers take one input vector (a decoding step) or a matrix with one input
-per row (a training loss over a whole sequence). The encoder has one call
-for both, a matrix of inputs in and a matrix of positions out.
+per row (a training loss over a whole sequence, or one decoding step of
+many inputs at once). The encoder has one call for both, a matrix of
+inputs in and a matrix of positions out.
 
 All weights initialize uniform(-0.1, 0.1) from the caller's generator;
 biases start at zero except the LSTM forget gate, which starts at +1 so
@@ -118,11 +119,11 @@ class LstmCell:
         self.c0 = params.uniform(f"{name}.c0", (h,), rng)
 
     def step(self, x: Node, state: tuple[Node, Node]) -> tuple[Node, Node]:
-        """The next (h, c) pair; start from (h0, c0)."""
-        if x.value.shape != (self.input_size,):
-            raise ValueError(
-                f"lstm step: input shape {x.value.shape} vs expected ({self.input_size},)"
-            )
+        """The next (h, c) pair; start from (h0, c0). With one input per row
+        of ``x`` and one state per row of h and c, every row steps at once."""
+        if x.value.ndim not in (1, 2) or x.value.shape[-1] != self.input_size:
+            raise ValueError(f"lstm step: input shape {x.value.shape} vs expected "
+                             f"({self.input_size},) or (rows, {self.input_size})")
         return nc.lstm_step(x, self.w, self.b, *state)
 
     def sequence(self, x: Node) -> Node:

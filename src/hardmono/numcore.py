@@ -14,8 +14,10 @@ model's output head runs on all rows at once.
 
 Greedy decoding steps the same ops one vector at a time, with
 ``lstm_step`` as one op per LSTM step, inside ``no_grad``: there every op
-builds a node with no parents and no backward closure, so no tape is
-kept and each value is freed as soon as the decoder drops it.
+builds a node with no parents and no backward rule, so no tape is kept
+and each value is freed as soon as the decoder drops it. Decoding a list
+in lockstep runs them on one row per input, and ``lstm_step`` then steps
+every row with one matrix product.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ _NO_GRAD = False
 @contextlib.contextmanager
 def no_grad():
     """Build no tape inside the block: op results have no parents and no
-    backward closure. Leaves made by ``param`` keep ``requires_grad``."""
+    backward rule. Leaves made by ``param`` keep ``requires_grad``."""
     global _NO_GRAD
     prev = _NO_GRAD
     _NO_GRAD = True
@@ -77,7 +79,7 @@ class Node:
             raise FloatingPointError(f"non-finite value in node {name or '(anonymous)'}")
         self._grad: np.ndarray | None = None
         self._parents = parents
-        self._backprop: Callable[[], None] | None = None
+        self._backprop: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
         self.requires_grad = requires_grad
         self.name = name
         self._ran = False        # set once a backward has walked the node
@@ -126,18 +128,17 @@ def _op(name: str, value, parents: tuple[Node, ...],
     """The node of one op with result ``value``. ``grads(g)`` maps the
     gradient of the result to one gradient per parent, None where none
     flows. Inside ``no_grad``, or when no parent requires a gradient, the
-    node records nothing; otherwise its backward closure accumulates
-    ``grads`` into the parents in order."""
-    if _NO_GRAD or not any(p.requires_grad for p in parents):
-        return Node(value, name=name)
-    out = Node(value, parents, requires_grad=True, name=name)
-
-    def backprop():
-        for p, g in zip(parents, grads(out._grad)):
-            if g is not None:
-                p.accum(g)
-    out._backprop = backprop
-    return out
+    node records nothing; otherwise it keeps ``grads`` as its backward rule,
+    which ``backward`` accumulates into the parents in order. The rule
+    never references the node, so a tape that is dropped without a
+    backward walk is freed by reference counting alone."""
+    if not _NO_GRAD:
+        for p in parents:            # a plain loop: cheaper than any() on a generator
+            if p.requires_grad:
+                out = Node(value, parents, requires_grad=True, name=name)
+                out._backprop = grads
+                return out
+    return Node(value, name=name)
 
 
 def _shape_error(op: str, *nodes: Node):
@@ -334,17 +335,31 @@ def masked_softmax(a: Node, valid: np.ndarray) -> Node:
 def _lstm_row(w: np.ndarray, b: np.ndarray, xh: np.ndarray, c: np.ndarray,
               gates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One LSTM step on arrays, the kernel of ``lstm_seq`` and ``lstm_step``
-    (gate layout input, forget, output, candidate along 4H). Fills ``gates``
-    with the gates after their nonlinearities and returns the new cell
-    state, its tanh and the new hidden state."""
-    hs = c.shape[0]
-    z = w @ xh + b
-    gates[:3 * hs] = _sigmoid(z[:3 * hs])
-    gates[3 * hs:] = np.tanh(z[3 * hs:])
-    i, f, o, g = gates.reshape(4, hs)
+    (gate layout input, forget, output, candidate along 4H). ``xh`` and
+    ``c`` are one row, or B rows stepped by one matrix product. Fills
+    ``gates`` with the gates after their nonlinearities and returns the new
+    cell state, its tanh and the new hidden state."""
+    hs = c.shape[-1]
+    z = w @ xh + b if xh.ndim == 1 else xh @ w.T + b
+    gates[..., :3 * hs] = _sigmoid(z[..., :3 * hs])
+    gates[..., 3 * hs:] = np.tanh(z[..., 3 * hs:])
+    i, f, o, g = (gates[..., :hs], gates[..., hs:2 * hs], gates[..., 2 * hs:3 * hs],
+                  gates[..., 3 * hs:])
     c = f * c + i * g
     tanh_c = np.tanh(c)
     return c, tanh_c, o * tanh_c
+
+
+def _lstm_local(gates: np.ndarray, c_prev: np.ndarray,
+                tanh_c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each row of cached LSTM steps: ``local``, which turns the
+    gradients (dc, dh) into dz = local * [dc; dc; dh; dc] along the four
+    gates; dc/dh through the output gate; and the forget gate, which
+    carries dc to the previous cell state."""
+    i, f, o, g = gates.reshape(-1, 4, c_prev.shape[-1]).transpose(1, 0, 2)
+    local = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                      tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+    return local, o * (1.0 - tanh_c * tanh_c), f
 
 
 def _lstm_backward(x: Node, w: Node, xh: np.ndarray, gates: np.ndarray,
@@ -358,12 +373,7 @@ def _lstm_backward(x: Node, w: Node, xh: np.ndarray, gates: np.ndarray,
     from the same pass; the input's is None when ``x`` needs none."""
     steps, hs = tanh_c.shape
     width = xh.shape[1] - hs
-    i, f, o, g = gates.reshape(steps, 4, hs).transpose(1, 0, 2)
-    # per step, dz = local * [dc; dc; dh; dc], where local is fixed by the
-    # forward pass
-    local = np.stack([g * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
-                      tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
-    dc_dh = o * (1.0 - tanh_c * tanh_c)
+    local, dc_dh, f = _lstm_local(gates, cells[:-1], tanh_c)
     w_h = w.value[:, width:].copy()     # contiguous, for the per-step product
     dz = np.empty((steps, 4 * hs))
     dz4 = dz.reshape(steps, 4, hs)
@@ -414,11 +424,19 @@ def lstm_step(x: Node, w: Node, b: Node, h: Node, c: Node) -> tuple[Node, Node]:
     vector ``x``, as one op: the row kernel of ``lstm_seq`` forward, and its
     backward pass through time over one step, seeded with the gradients
     into both new states. The op's node holds the two states as rows 0
-    and 1; the returned nodes read them."""
-    hs = h.value.shape[0] if h.value.ndim == 1 else -1
-    if (x.value.ndim != 1 or hs < 1 or c.value.shape != (hs,)
-            or w.value.shape != (4 * hs, x.value.shape[0] + hs) or b.value.shape != (4 * hs,)):
+    and 1; the returned nodes read them.
+
+    With B rows of ``x``, ``h`` and ``c``, it steps B independent states
+    that share the weights, as one matrix product: row r of each result is
+    the vector step of row r, to rounding. The node then holds the B new
+    hidden states above the B new cell states."""
+    hs = h.value.shape[-1] if h.value.ndim in (1, 2) else -1
+    if (x.value.ndim != h.value.ndim or x.value.shape[:-1] != h.value.shape[:-1]
+            or h.value.shape[:-1] == (0,) or hs < 1 or c.value.shape != h.value.shape
+            or w.value.shape != (4 * hs, x.value.shape[-1] + hs) or b.value.shape != (4 * hs,)):
         _shape_error("lstm_step (x, w, b, h, c)", x, w, b, h, c)
+    if x.value.ndim == 2:
+        return _lstm_rows(x, w, b, h, c)
     xh = np.concatenate([x.value, h.value])[None]   # one row, as in lstm_seq
     gates = np.empty((1, 4 * hs))
     cells = np.empty((2, hs))                         # c and the new c
@@ -427,6 +445,29 @@ def lstm_step(x: Node, w: Node, b: Node, h: Node, c: Node) -> tuple[Node, Node]:
     out = _op("lstm_step", np.array([h_new, cells[1]]), (x, w, b, h, c),
               lambda g: _lstm_backward(x, w, xh, gates, cells, tanh_c[None], g[:1], g[1]))
     return row(out, 0), row(out, 1)
+
+
+def _lstm_rows(x: Node, w: Node, b: Node, h: Node, c: Node) -> tuple[Node, Node]:
+    """``lstm_step`` on B rows. No state passes between rows, so backward
+    is one step per row, all rows at once."""
+    rows, width = x.value.shape
+    xh = np.concatenate([x.value, h.value], axis=1)
+    gates = np.empty((rows, 4 * h.value.shape[1]))
+    c_new, tanh_c, h_new = _lstm_row(w.value, b.value, xh, c.value, gates)
+
+    def grads(g):
+        local, dc_dh, f = _lstm_local(gates, c.value, tanh_c)
+        dh = g[:rows]
+        dc = dh * dc_dh + g[rows:]
+        dz4 = local * dc[:, None]
+        dz4[:, 2] = local[:, 2] * dh
+        dz = dz4.reshape(rows, -1)
+        dxh = dz @ w.value
+        return (dxh[:, :width] if x.requires_grad else None, dz.T @ xh, dz.sum(axis=0),
+                dxh[:, width:], dc * f)
+    out = _op("lstm_step", np.concatenate([h_new, c_new]), (x, w, b, h, c), grads)
+    index = np.arange(rows)
+    return row(out, index), row(out, index + rows)
 
 
 def dropout(a: Node, rate: float, rng: np.random.Generator) -> Node:
@@ -465,8 +506,7 @@ def backward(loss: Node) -> None:
     """Populate gradients of every requires_grad node reachable from loss.
 
     The walk consumes the tape: afterwards every interior node has dropped
-    its backward closure, which references the node itself, so reference
-    counting frees the tape without the cyclic GC. A later backward that
+    its backward rule and the arrays the rule cached. A later backward that
     reaches a consumed node raises GradError."""
     if loss.value.shape != ():
         raise GradError(f"backward needs a scalar loss, got shape {loss.value.shape}")
@@ -482,7 +522,9 @@ def backward(loss: Node) -> None:
     loss.accum(np.array(1.0))
     for node in reversed(order):
         if node._backprop is not None and node._grad is not None:
-            node._backprop()
+            for p, g in zip(node._parents, node._backprop(node._grad)):
+                if g is not None:
+                    p.accum(g)
     for node in order:
         if node._parents:
             node._backprop = None

@@ -25,7 +25,7 @@ import numpy as np
 from hardmono import numcore as nc
 from hardmono.align import ALIGNERS
 from hardmono.corpus import Sample, build_vocab
-from hardmono.decode import greedy_decode, post_filter
+from hardmono.decode import greedy_decode, greedy_decode_all, post_filter
 from hardmono.hacm import HacmModel, ModelConfig
 from hardmono.haem import HaemModel
 from hardmono.metrics import accuracy
@@ -121,10 +121,18 @@ class Adam:
 
 
 def predict(model: HacmModel | HaemModel, sample: Sample) -> str:
-    """Greedy decode plus the runaway filter; the prediction every consumer
-    (evaluation, ensembling, the CLI) sees."""
+    """Greedy decode plus the runaway filter, one sample at a time: the
+    prediction that evaluation and ensembling see, and the reference for
+    ``predict_all``."""
     result = greedy_decode(model, sample.lemma, sample.features)
     return post_filter(result, sample.lemma).prediction
+
+
+def predict_all(model: HacmModel | HaemModel, samples: list[Sample]) -> list[str]:
+    """``predict`` of every sample, decoded in lockstep; what ``hardmono
+    predict`` writes for a file."""
+    results = greedy_decode_all(model, [(s.lemma, s.features) for s in samples])
+    return [post_filter(r, s.lemma).prediction for r, s in zip(results, samples)]
 
 
 def evaluate(model: HacmModel | HaemModel, samples: list[Sample]) -> float:

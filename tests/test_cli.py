@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from hardmono.cli import build_parser, main
-from hardmono.corpus import parse_dataset
-from hardmono.serialize import FORMAT_VERSION, MAGIC
+from hardmono.corpus import Sample, parse_dataset, write_dataset
+from hardmono.serialize import FORMAT_VERSION, MAGIC, load_checkpoint
+from hardmono.train import predict
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -100,6 +101,22 @@ def test_predict_unlabeled_input(lang, checkpoints, tmp_path, capsys):
     assert main(["predict", "--model", str(checkpoints / "HACM_naive"),
                  "--input", str(bare), "--no-form"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == len(samples)
+
+
+@pytest.mark.parametrize("name", ["HACM_smart", "HACM_naive", "HAEM_smart", "HAEM_naive"])
+def test_predict_writes_the_single_sample_predictions(lang, checkpoints, tmp_path, name):
+    """The file is decoded in lockstep, row for row as train.predict."""
+    samples = parse_dataset(str(lang / "dev.tsv")) + parse_dataset(str(lang / "test.tsv"))
+    samples += [Sample("Qx" + samples[0].lemma, samples[0].features),    # out of vocabulary
+                Sample(samples[1].lemma * 4, samples[1].features)]       # long
+    data = tmp_path / "in.tsv"
+    write_dataset(str(data), samples, has_form=False)
+    out = tmp_path / "preds.tsv"
+    assert main(["predict", "--model", str(checkpoints / name), "--input", str(data),
+                 "--no-form", "--out", str(out)]) == 0
+    model, _ = load_checkpoint(checkpoints / name)
+    rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
+    assert rows == [[s.lemma, predict(model, s), ";".join(s.features)] for s in samples]
 
 
 def test_eval_formats(lang, tmp_path, capsys):
@@ -252,7 +269,9 @@ def test_train_bad_learning_rate_is_a_usage_error(lang, tmp_path, capsys, lr):
     (["--train", "missing/train.tsv", "--dev", "missing/dev.tsv",
       "--test", "missing/test.tsv"], 2),
     (["--synth", "--no-form"], 1),
-], ids=["epochs-0", "hidden-0", "negative-count", "no-data", "missing-data", "synth-no-form"])
+    (["--synth", "--run", "1", "--hacm-naive", "0"], 2),
+], ids=["epochs-0", "hidden-0", "negative-count", "no-data", "missing-data", "synth-no-form",
+        "empty-run-cell"])
 def test_run_rejects_a_bad_config_before_writing(tmp_path, capsys, flags, code):
     argv = ["run", "--out", str(tmp_path / "d"), "--train-size", "4", "--dev-size", "2",
             "--test-size", "2", *TINY, *flags]

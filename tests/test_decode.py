@@ -1,10 +1,12 @@
 import contextlib
 import gc
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from hardmono import decode
 from hardmono import numcore as nc
 from hardmono.align import ALIGNERS
 from hardmono.corpus import CharVocabulary, FeatureAlphabet
@@ -14,6 +16,7 @@ from hardmono.decode import (
     MAX_EXTRA_CHARS,
     DecodeResult,
     greedy_decode,
+    greedy_decode_all,
     has_runaway_repeat,
     post_filter,
 )
@@ -317,3 +320,109 @@ def test_decoding_leaves_no_cyclic_garbage(trained, name):
     finally:
         if enabled:
             gc.enable()
+
+
+# --- lockstep decoding ---
+
+LONG_QUERIES = [("fliegenbalogonifelagil", ("V", "PST")), ("gaflinobelagonifel" * 2, ("V",))]
+
+
+def stop_on_pst(name, seed):
+    """``random_model(loop=True)``, whose WRITE bias runs decoding to
+    LENGTH_CAP, plus weights through which the PST feature makes the end
+    action win: inputs with PST end by END_ACTION within a few steps, the
+    rest at their own length caps."""
+    m = random_model(name, seed, loop=True)
+    slot = m.feats.slot_of("PST")
+    if m.arch == "HACM":
+        # decoder unit 0 saturates to h = +tanh(1) with PST and -tanh(1)
+        # without, and the end action reads it
+        hs, e, f = m.config.hidden, m.config.embed, m.config.feat_embed
+        m.feat_emb.table.value[slot] = 1.0
+        for gate, bias in enumerate((25.0, -25.0, 25.0, -25.0)):   # i, f, o, g
+            m.decoder.b.value[gate * hs] = bias
+        col = e + 2 * hs + slot * f
+        m.decoder.w.value[3 * hs, col:col + f] = 50.0 / f
+        m.gen.w.value[m.codec.id_of(m.codec.specials[2]), 0] = 100.0
+    else:
+        width = 3 * m.config.hidden
+        m.state_proj.w.value[0, width + slot] = 100.0
+        m.act_out.w.value[m.STOP_ID, 0] = 10.0
+    return m
+
+
+# one product over many rows rounds differently from one over a vector;
+# each lockstep distribution must be within this of the per-sample one
+LOCKSTEP_ATOL = 1e-12
+
+
+@pytest.fixture
+def rule_inputs(monkeypatch):
+    """Every distribution the decode rules read, per decode in call order."""
+    seen = {}
+    for name in ("_hacm_next", "_haem_action"):
+        def wrapped(model, where, dist, row, inner=getattr(decode, name)):
+            seen.setdefault(id(row), (row, []))[1].append(dist)   # keeps the row alive
+            return inner(model, where, dist, row)
+        monkeypatch.setattr(decode, name, wrapped)
+    return seen
+
+
+def assert_lockstep_matches(model, queries, seen):
+    """greedy_decode_all gives greedy_decode's results in batches of 1, 7
+    and all, from distributions within LOCKSTEP_ATOL of its own."""
+    seen.clear()
+    single = [greedy_decode(model, *q) for q in queries]
+    want = [dists for _, dists in seen.values()]
+    for size in (1, 7, len(queries)):
+        seen.clear()
+        batched = [r for i in range(0, len(queries), size)
+                   for r in greedy_decode_all(model, queries[i:i + size])]
+        assert batched == single, size
+        got = [dists for _, dists in seen.values()]
+        assert [len(d) for d in got] == [len(d) for d in want]
+        for a, b in zip(itertools.chain(*got), itertools.chain(*want)):
+            assert (a is None) == (b is None)
+            assert a is None or np.allclose(a, b, rtol=0, atol=LOCKSTEP_ATOL)
+    return single
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_lockstep_decode_matches_single_decodes(trained, name, rule_inputs):
+    models, queries = trained
+    results = assert_lockstep_matches(models[name], queries + OOV_QUERIES + LONG_QUERIES,
+                                      rule_inputs)
+    assert any(r.terminated_by == END_ACTION for r in results)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_lockstep_rows_finish_at_their_own_steps(name, rule_inputs):
+    queries = [("fliegen", ("V", "PST")), ("fog", ("V",)), ("a", ("PST",)),
+               ("gaflinobelagonifel", ("V",))] + OOV_QUERIES + LONG_QUERIES
+    for seed in range(2):
+        results = assert_lockstep_matches(stop_on_pst(name, seed), queries, rule_inputs)
+        ends = [(r.terminated_by, len(r.trace.actions)) for r in results]
+        assert {end for end, _ in ends} == {END_ACTION, LENGTH_CAP}
+        assert len({steps for end, steps in ends if end == LENGTH_CAP}) > 2
+        assert [end == END_ACTION for end, _ in ends] == ["PST" in q[1] for q in queries]
+
+
+def test_lockstep_resets_the_deleted_run_on_write(rule_inputs):
+    """Biases that delete the lemma and then write: the deleted-run LSTM
+    steps on every DELETE and restarts on the first WRITE, and every later
+    distribution reads it."""
+    queries = [("fliegen", ("V", "PST")), ("fog", ("V",))] + OOV_QUERIES + LONG_QUERIES
+    for seed in range(2):
+        m = random_model("HAEM", seed)
+        m.act_out.b.value[m.DELETE_ID] = 20.0
+        m.act_out.b.value[m.codec.write_id("o")] = 10.0
+        for r in assert_lockstep_matches(m, queries, rule_inputs):
+            tags = [a.tag for a in r.trace.actions]
+            assert tags[:tags.index("WRITE")] == ["DELETE"] * tags.index("WRITE")
+
+
+def test_lockstep_decode_of_nothing_and_of_an_empty_lemma():
+    model = build("HAEM")
+    assert greedy_decode_all(model, []) == []
+    with pytest.raises(ValueError, match="empty"):
+        greedy_decode_all(model, [("fog", ("V",)), ("", ("V",))])

@@ -378,6 +378,63 @@ def test_lstm_step_grad_check_into_both_states():
         nc.lstm_step(nc.constant(np.zeros(3)), w, b, h, c)
 
 
+# one product over B rows rounds differently from B vector products; each
+# entry of a B-row step's states, of order one, must be within this of the
+# vector step's
+LOCKSTEP_ATOL = 1e-12
+
+
+@pytest.mark.parametrize("width, hidden, rows", [(2, 3, 1), (5, 3, 7), (380, 100, 50),
+                                                 (100, 100, 13)])
+def test_lstm_step_rows_match_vector_steps(width, hidden, rows):
+    rng = np.random.default_rng(width + rows)
+    w = nc.constant(rng.uniform(-0.5, 0.5, size=(4 * hidden, width + hidden)))
+    b = nc.constant(rng.uniform(-0.5, 0.5, size=4 * hidden))
+    x, h, c = (rng.uniform(-2, 2, size=(rows, n)) for n in (width, hidden, hidden))
+    h_rows, c_rows = nc.lstm_step(nc.constant(x), w, b, nc.constant(h), nc.constant(c))
+    assert h_rows.shape == c_rows.shape == (rows, hidden)
+    for r in range(rows):
+        h_r, c_r = nc.lstm_step(nc.constant(x[r]), w, b, nc.constant(h[r]), nc.constant(c[r]))
+        assert np.allclose(h_rows.value[r], h_r.value, rtol=0, atol=LOCKSTEP_ATOL)
+        assert np.allclose(c_rows.value[r], c_r.value, rtol=0, atol=LOCKSTEP_ATOL)
+
+
+def test_lstm_step_rows_grad_check_into_both_states():
+    rng = random.Random(16)
+    hs, width, rows = 3, 2, 4
+    w = nc.param(rng_array(rng, 4 * hs, width + hs))
+    b = nc.param(rng_array(rng, 4 * hs))
+    h = nc.param(rng_array(rng, rows, hs))
+    c = nc.param(rng_array(rng, rows, hs))
+    x = nc.param(rng_array(rng, rows, width))
+    wh, wc = nc.constant(rng_array(rng, rows * hs)), nc.constant(rng_array(rng, rows * hs))
+
+    def flat(m):
+        return nc.concat([nc.row(m, r) for r in range(rows)])
+
+    def f():
+        h1, c1 = nc.lstm_step(x, w, b, h, c)
+        h2, c2 = nc.lstm_step(x, w, b, h1, c1)
+        return nc.add(nc.dot(flat(h2), wh), nc.dot(flat(nc.add(c1, c2)), wc))
+
+    assert nc.grad_check(f, [w, b, h, c, x]) < 1e-6
+
+
+@pytest.mark.parametrize("x, h, c", [
+    ((3, 2), (4, 3), (4, 3)),     # rows of x and of the states differ
+    ((4, 2), (4, 3), (3, 3)),     # rows of h and c differ
+    ((4, 2), (3,), (3,)),         # rows of x, vector states
+    ((2,), (4, 3), (4, 3)),       # a vector x, rows of states
+    ((0, 2), (0, 3), (0, 3)),     # no rows
+    ((4, 3), (4, 3), (4, 3)),     # x wider than the weight
+], ids=["x-rows", "c-rows", "vector-states", "vector-x", "no-rows", "x-width"])
+def test_lstm_step_rows_shape_errors(x, h, c):
+    w, b = nc.constant(np.zeros((12, 5))), nc.constant(np.zeros(12))
+    x, h, c = (nc.constant(np.zeros(shape)) for shape in (x, h, c))
+    with pytest.raises(ValueError, match="lstm_step"):
+        nc.lstm_step(x, w, b, h, c)
+
+
 def test_no_grad_builds_no_tape():
     w = nc.param(np.eye(2))
     with nc.no_grad():
@@ -416,6 +473,7 @@ OPS = {
                        _values(3)),
     "lstm_seq": (nc.lstm_seq, _values((4, 2), (12, 5), 12, 3, 3)),
     "lstm_step": (nc.lstm_step, _values(2, (12, 5), 12, 3, 3)),
+    "lstm_step_rows": (nc.lstm_step, _values((4, 2), (12, 5), 12, (4, 3), (4, 3))),
     "dropout": (lambda a: nc.dropout(a, 0.5, np.random.default_rng(0)), _values(8)),
 }
 NOT_OPS = {"param", "constant", "no_grad", "finite_checks", "backward", "grad_check"}
@@ -428,17 +486,17 @@ def _results(out):
     return out if isinstance(out, tuple) else (out,)
 
 
-@pytest.mark.parametrize("name", PUBLIC)
+@pytest.mark.parametrize("name", sorted(set(PUBLIC) | set(OPS)))
 def test_every_op_records_its_inputs_only_on_the_tape(name):
     assert name in OPS, f"public function numcore.{name} has no case in OPS"
     build, values = OPS[name]
     inputs = [nc.param(v) for v in values]
     taped = build(*inputs)
     node, expected, op = taped, tuple(inputs), name
-    if name == "lstm_step":        # the two rows read the op's node
+    if name.startswith("lstm_step"):   # the two results read the op's node
         h, c = taped
         assert h._parents == c._parents and len(h._parents) == 1
-        node = h._parents[0]
+        node, op = h._parents[0], "lstm_step"
     elif name == "sub":            # add(a, neg(b))
         negated = node._parents[1]
         assert negated.name == "neg" and negated._parents == (inputs[1],)
@@ -480,6 +538,29 @@ def test_backward_frees_the_tape_without_the_cyclic_gc():
         loss = nc.dot(h, h)
         nc.backward(loss)
         del h, loss
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_dropped_tape_frees_without_the_cyclic_gc():
+    """A tape that no backward walks, such as each probe of grad_check,
+    holds no reference cycle: dropping its last node frees it."""
+    rng = random.Random(17)
+    w = nc.param(rng_array(rng, 3, 3))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        h = nc.constant(rng_array(rng, 3))
+        for _ in range(5):
+            h = nc.sigmoid(nc.matvec(w, h))
+        h, c = nc.lstm_step(h, nc.param(rng_array(rng, 12, 6)), nc.param(rng_array(rng, 12)),
+                            h, h)
+        loss = nc.dot(h, c)
+        assert loss.requires_grad
+        del h, c, loss
         assert gc.collect() == 0
     finally:
         if enabled:
