@@ -330,6 +330,16 @@ def _add_synth_sizes(p: argparse.ArgumentParser) -> None:
     p.add_argument("--test-size", type=int, default=50)
 
 
+class _Repeated(argparse._AppendAction):
+    """``action="append"`` whose first command-line use replaces the
+    default: an explicit flag overrides a config file's list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest, None) is self.default:
+            setattr(namespace, self.dest, None)
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--config", help="key = value file of flag defaults")
@@ -343,6 +353,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     def sub(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = subs.add_parser(name, parents=[parent], help=help_text)
+        p.register("action", "append", _Repeated)
         p.set_defaults(func=func)
         registry[name] = p
         return p

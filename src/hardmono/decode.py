@@ -29,7 +29,7 @@ import numpy as np
 
 from hardmono import numcore as nc
 from hardmono.hacm import HacmModel, HacmState
-from hardmono.haem import HaemModel, HaemState
+from hardmono.haem import RESTART, HaemModel, HaemState
 from hardmono.nn import EmbeddingTable, LstmCell
 from hardmono.numcore import Node
 from hardmono.oracle import HACM, Action, HacmExecutor, OracleSequence, write
@@ -232,46 +232,27 @@ def _decode_all_haem(model: HaemModel, states: list[HaemState]) -> list[DecodeRe
     exs = [s.ex for s in states]
     encoded, first = _stack([s.encoded for s in states])
     feats = nc.vstack([s.feat_vec for s in states])
-    y = _stack_states([s.y for s in states])
-    if model.extended:
-        a, d = _stack_states([s.a for s in states]), _stack_states([s.d for s in states])
+    lstms = [_stack_states(track) for track in zip(*(s.lstms for s in states))]
     active = np.arange(len(states))
     while active.size:
-        parts = [y[0], nc.row(encoded, first[active] + np.array([exs[r].i - 1 for r in active])),
-                 nc.row(feats, active)]
-        if model.extended:
-            parts += [a[0], d[0]]
+        attended = nc.row(encoded, first[active] + np.array([exs[r].i - 1 for r in active]))
+        x = model._input([h for h, _ in lstms], attended, nc.row(feats, active))
         valid = np.array([model._valid(exs[r]) for r in active])
-        dists = model._scores(nc.concat(parts), valid).value
-        # which kept rows step y and d, and on which ids; every kept row
-        # steps a
-        keep, y_steps, y_ids, d_steps, d_ids, d_resets, a_ids = [], [], [], [], [], [], []
+        dists = model._scores(x, valid).value
+        keep, feeds = [], []          # the kept rows, and each one's feed per track
         for k, r in enumerate(active):
             ex = exs[r]
             action = _haem_action(model, ex.out, dists[k], rows[r])
             if action is None:
                 continue
             exs[r] = ex.apply(action)
-            if not rows[r].end_step(exs[r].done):
-                continue
-            at = len(keep)
-            keep.append(k)
-            a_ids.append(model.codec.id_of(action))
-            y_id, d_id, restart = model._feeds(ex, action)
-            if y_id is not None:
-                y_steps.append(at)
-                y_ids.append(y_id)
-            if d_id is not None:
-                d_steps.append(at)
-                d_ids.append(d_id)
-            elif restart:
-                d_resets.append(at)
+            if rows[r].end_step(exs[r].done):
+                keep.append(k)
+                feeds.append(model._feeds(ex, action))
         keep = np.array(keep, dtype=int)
         active = active[keep]
-        y = _advance(model.lstm_y, model.char_emb, y, keep, y_steps, y_ids)
-        if model.extended:
-            d = _advance(model.lstm_d, model.char_emb, d, keep, d_steps, d_ids, d_resets)
-            a = _advance(model.lstm_a, model.act_emb, a, keep, range(len(keep)), a_ids)
+        lstms = [_advance(track, lstm, keep, [f[t] for f in feeds])
+                 for t, (track, lstm) in enumerate(zip(model.tracks, lstms))]
     return [row.result(ex.out, model.arch) for row, ex in zip(rows, exs)]
 
 
@@ -288,30 +269,30 @@ def _stack_states(states: list[tuple[Node, Node]]) -> tuple[Node, Node]:
     return nc.vstack([h for h, _ in states]), nc.vstack([c for _, c in states])
 
 
-def _advance(cell: LstmCell, emb: EmbeddingTable, state: tuple[Node, Node],
-             keep: np.ndarray, steps: Sequence[int], ids: list[int],
-             resets: Sequence[int] = ()) -> tuple[Node, Node]:
-    """The LSTM states of the batch rows ``keep`` after one action. Kept
-    row j (the j-th entry of ``keep``) steps on the embedding of its id when
-    listed in ``steps``, restarts from the cell's learned state when listed
-    in ``resets``, and otherwise keeps its state."""
+def _advance(track: tuple[LstmCell, EmbeddingTable], state: tuple[Node, Node],
+             keep: np.ndarray, feeds: list) -> tuple[Node, Node]:
+    """One tracking LSTM's states for the batch rows ``keep`` after one
+    action: kept row j (the j-th entry of ``keep``) steps on ``feeds[j]``,
+    restarts from the learned state on RESTART, or keeps its state on None."""
+    cell, emb = track
     h, c = state
-    source = list(keep)          # the row of [h; stepped; initial] each kept row reads
+    steps = [j for j, feed in enumerate(feeds) if feed is not None and feed is not RESTART]
+    # kept row j reads row source[j] of [h; the stepped rows; the learned state]
+    source = list(keep)
+    for k, j in enumerate(steps):
+        source[j] = h.shape[0] + k
+    for j, feed in enumerate(feeds):
+        if feed is RESTART:
+            source[j] = h.shape[0] + len(steps)
     hs, cs = [h], [c]
-    if len(steps):
-        rows = keep[np.asarray(steps)]
-        new = cell.step(emb(np.array(ids)), (nc.row(h, rows), nc.row(c, rows)))
-        for k, j in enumerate(steps):
-            source[j] = h.shape[0] + k
+    if steps:
+        rows = keep[steps]
+        new = cell.step(emb(np.array([feeds[j] for j in steps])),
+                        (nc.row(h, rows), nc.row(c, rows)))
         hs.append(new[0])
         cs.append(new[1])
-    if resets:
-        for j in resets:
-            source[j] = h.shape[0] + len(steps)
-        hs.append(cell.h0)
-        cs.append(cell.c0)
     index = np.array(source, dtype=int)
-    return nc.row(nc.vstack(hs), index), nc.row(nc.vstack(cs), index)
+    return nc.row(nc.vstack(hs + [cell.h0]), index), nc.row(nc.vstack(cs + [cell.c0]), index)
 
 
 def has_runaway_repeat(text: str, threshold: int = MAX_RUN_LENGTH) -> bool:

@@ -30,15 +30,15 @@ from hardmono.nn import BiEncoder, EmbeddingTable, Linear, LstmCell, ParamSet
 from hardmono.numcore import Node
 from hardmono.oracle import HAEM, Action, ActionCodec, HaemExecutor, OracleSequence
 
+RESTART = object()    # the feed that returns a tracking LSTM to its learned state
+
 
 @dataclass(frozen=True)
 class HaemState:
     encoded: Node = field(repr=False)   # rows h_1 .. h_n over the bare lemma, then the end vector
     feat_vec: Node = field(repr=False)  # multi-hot indicator, constant
     ex: HaemExecutor                    # owns the lemma, attention index, output, and done
-    y: tuple[Node, Node]                # (h, c) of the LSTM over emitted chars
-    a: tuple[Node, Node] | None         # action-history LSTM (extended)
-    d: tuple[Node, Node] | None         # deleted-run LSTM (extended)
+    lstms: tuple[tuple[Node, Node], ...]  # (h, c) of each tracking LSTM, in track order
 
     @property
     def i(self) -> int:
@@ -71,12 +71,14 @@ class HaemModel:
         self.char_emb = EmbeddingTable(ps, "char_emb", len(vocab), e, rng)
         self.encoder = BiEncoder(ps, "enc", e, h, rng)
         self.end_vec = ps.uniform("end_of_lemma", (2 * h,), rng)
-        self.lstm_y = LstmCell(ps, "y", e, h, rng)
+        # the tracking LSTMs, each with the table that embeds its feeds: y,
+        # then a and d in the extended variant
+        self.tracks = [(LstmCell(ps, "y", e, h, rng), self.char_emb)]
         if self.extended:
-            self.act_emb = EmbeddingTable(ps, "act_emb", self.codec.size, e, rng)
-            self.lstm_a = LstmCell(ps, "a", e, h, rng)
-            self.lstm_d = LstmCell(ps, "d", e, h, rng)
-        state_in = h + 2 * h + feats.num_slots + (2 * h if self.extended else 0)
+            act_emb = EmbeddingTable(ps, "act_emb", self.codec.size, e, rng)
+            self.tracks += [(LstmCell(ps, "a", e, h, rng), act_emb),
+                            (LstmCell(ps, "d", e, h, rng), self.char_emb)]
+        state_in = len(self.tracks) * h + 2 * h + feats.num_slots
         self.state_proj = Linear(ps, "state", state_in, h, rng)
         self.act_out = Linear(ps, "act", h, self.codec.size, rng)
         self.params = ps
@@ -99,10 +101,8 @@ class HaemModel:
         return nc.vstack([self.encoder(self.char_emb(ids)), self.end_vec])
 
     def start(self, lemma: str, features: tuple[str, ...]) -> HaemState:
-        a0 = (self.lstm_a.h0, self.lstm_a.c0) if self.extended else None
-        d0 = (self.lstm_d.h0, self.lstm_d.c0) if self.extended else None
         return HaemState(self._encode(lemma), self.feature_indicator(features),
-                         HaemExecutor(lemma), (self.lstm_y.h0, self.lstm_y.c0), a0, d0)
+                         HaemExecutor(lemma), tuple((cell.h0, cell.c0) for cell, _ in self.tracks))
 
     # --- scoring ---
 
@@ -119,10 +119,15 @@ class HaemModel:
     def distribution(self, state: HaemState) -> Node:
         if state.done:
             raise ValueError("distribution after STOP")
-        parts = [state.y[0], nc.row(state.encoded, state.i - 1), state.feat_vec]
-        if self.extended:
-            parts += [state.a[0], state.d[0]]
-        return self._scores(nc.concat(parts), self.valid_mask(state))
+        x = self._input([h for h, _ in state.lstms], nc.row(state.encoded, state.i - 1),
+                        state.feat_vec)
+        return self._scores(x, self.valid_mask(state))
+
+    @staticmethod
+    def _input(hs: list[Node], attended: Node, feats: Node) -> Node:
+        """The state input [y; h_i; f; a; d] from the hidden states ``hs`` of
+        the tracks, for one step or for one per row."""
+        return nc.concat([hs[0], attended, feats, *hs[1:]])
 
     def _scores(self, x: Node, valid: np.ndarray) -> Node:
         """The output head on one state input ``x`` or on one per row,
@@ -131,19 +136,19 @@ class HaemModel:
 
     # --- transitions ---
 
-    def _feeds(self, ex: HaemExecutor, action: Action) -> tuple[int | None, int | None, bool]:
-        """How ``action``, run from ``ex``, feeds the tracking LSTMs: the
-        character id the output LSTM y steps on (the copied or written
-        character), the id the deleted-run LSTM d steps on (the deleted
-        one), None where an LSTM does not step, and whether d restarts (on
-        every WRITE). The action-history LSTM a steps on every action."""
+    def _feeds(self, ex: HaemExecutor, action: Action) -> tuple[object, ...]:
+        """How ``action``, run from ``ex``, feeds each tracking LSTM: the id
+        it steps on, None where it keeps its state, or RESTART. y steps on
+        the copied or written character, a on every action, and d on the
+        deleted character; d restarts on every WRITE."""
+        y = d = None
         if action.tag == "COPY":
-            return self.vocab.id_of(ex.attended_char()), None, False
-        if action.tag == "DELETE":
-            return None, self.vocab.id_of(ex.attended_char()), False
-        if action.tag == "WRITE":
-            return self.vocab.id_of(action.char), None, True
-        return None, None, False
+            y = self.vocab.id_of(ex.attended_char())
+        elif action.tag == "DELETE":
+            d = self.vocab.id_of(ex.attended_char())
+        elif action.tag == "WRITE":
+            y, d = self.vocab.id_of(action.char), RESTART
+        return (y, self.codec.id_of(action), d) if self.extended else (y,)
 
     def apply(self, state: HaemState, action: Action) -> HaemState:
         """Execute one action. The executor updates output, attention index,
@@ -151,17 +156,14 @@ class HaemModel:
         anything after STOP); callers decode against valid_mask. The tracking
         LSTMs then consume the action."""
         ex = state.ex.apply(action)
-        y_id, d_id, restart = self._feeds(state.ex, action)
-        y, a, d = state.y, state.a, state.d
-        if y_id is not None:
-            y = self.lstm_y.step(self.char_emb(y_id), y)
-        if self.extended:
-            if d_id is not None:
-                d = self.lstm_d.step(self.char_emb(d_id), d)
-            elif restart:
-                d = (self.lstm_d.h0, self.lstm_d.c0)
-            a = self.lstm_a.step(self.act_emb(self.codec.id_of(action)), a)
-        return replace(state, ex=ex, y=y, a=a, d=d)
+        lstms = []
+        for (cell, emb), lstm, feed in zip(self.tracks, state.lstms, self._feeds(state.ex, action)):
+            if feed is RESTART:
+                lstm = (cell.h0, cell.c0)
+            elif feed is not None:
+                lstm = cell.step(emb(feed), lstm)
+            lstms.append(lstm)
+        return replace(state, ex=ex, lstms=tuple(lstms))
 
     # --- training objective ---
 
@@ -174,7 +176,7 @@ class HaemModel:
         One replay through the executor fixes every step's inputs, so each
         tracking LSTM runs as one sequence op (the deleted-run LSTM once
         per run between WRITEs, since every WRITE resets it) and step t
-        reads row t of the stacked states. Training-mode dropout draws one
+        reads one row of its stacked states. Training-mode dropout draws one
         (T, D) block, the same stream as one draw per step."""
         actions = oracle.actions
         if oracle.inventory != HAEM or not actions or actions[-1].tag != "STOP":
@@ -182,53 +184,48 @@ class HaemModel:
         encoded = self._encode(lemma)
         if training and rng is None:
             raise ValueError("training mode needs a dropout generator")
-        # replay: per step, the state before its action (y and d as rows of
-        # the stacked states below, h_i as a row of encoded)
-        targets, positions, valid, y_rows, d_rows = [], [], [], [], []
-        y_ids: list[int] = []
-        d_runs: list[list[int]] = [[]]
-        d_start = 0
+        # replay: per step, the state before its action (h_i as a row of
+        # encoded) and how the action feeds each tracking LSTM
+        targets = [self.codec.id_of(action) for action in actions]
+        positions, valid, feeds = [], [], []
         ex = HaemExecutor(lemma)
         for action in actions:
-            targets.append(self.codec.id_of(action))
             if ex.done:
                 raise ValueError("distribution after STOP")
             positions.append(ex.i - 1)
             valid.append(self._valid(ex))
-            y_rows.append(len(y_ids))
-            d_rows.append(d_start + len(d_runs[-1]))
-            y_id, d_id, restart = self._feeds(ex, action)
+            feeds.append(self._feeds(ex, action))
             ex = ex.apply(action)
-            if y_id is not None:
-                y_ids.append(y_id)
-            if d_id is not None:
-                d_runs[-1].append(d_id)
-            elif restart:
-                d_start += len(d_runs[-1]) + 1
-                d_runs.append([])
         steps = len(targets)
 
-        parts = [nc.row(self._states(self.lstm_y, self.char_emb, [y_ids]), np.array(y_rows)),
-                 nc.row(encoded, np.array(positions)),
-                 nc.constant(np.tile(self.feature_indicator(features).value, (steps, 1)))]
-        if self.extended:
-            # the action history before step t is exactly row t
-            parts += [self._states(self.lstm_a, self.act_emb, [targets[:-1]]),
-                      nc.row(self._states(self.lstm_d, self.char_emb, d_runs), np.array(d_rows))]
-        x = nc.concat(parts)
+        # nothing reads the states after STOP, so its feeds go unused
+        hs = [self._states(track, [f[k] for f in feeds[:-1]])
+              for k, track in enumerate(self.tracks)]
+        x = self._input(hs, nc.row(encoded, np.array(positions)),
+                        nc.constant(np.tile(self.feature_indicator(features).value, (steps, 1))))
         if training and self.config.dropout > 0:
             x = nc.dropout(x, self.config.dropout, rng)
         p = nc.pick(self._scores(x, np.array(valid)), np.array(targets))
         return nc.neg(nc.dot(nc.constant(np.ones(steps)), nc.log(p)))
 
     @staticmethod
-    def _states(cell: LstmCell, emb: EmbeddingTable, runs: list[list[int]]) -> Node:
-        """Stacked outputs of ``cell`` over each run of embedded ids; every
-        run starts from the learned state, whose h0 is the run's first
-        row."""
+    def _states(track: tuple[LstmCell, EmbeddingTable], feeds: list) -> Node:
+        """One tracking LSTM's hidden state before each step, given its feed
+        after every step but the last: one sequence op per run of ids
+        between restarts, each run stacked after its learned h0. A track fed
+        on every step reads the stacked rows in order, with no gather."""
+        cell, emb = track
+        runs, reads = [[]], [0]
+        for feed in feeds:
+            if feed is RESTART:
+                runs.append([])
+            elif feed is not None:
+                runs[-1].append(feed)
+            reads.append(reads[-1] + (feed is not None))
         blocks = []
         for ids in runs:
             blocks.append(cell.h0)
             if ids:
                 blocks.append(cell.sequence(emb(np.array(ids))))
-        return nc.vstack(blocks)
+        states = nc.vstack(blocks)
+        return states if states.shape[0] == len(reads) else nc.row(states, np.array(reads))

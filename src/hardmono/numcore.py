@@ -362,40 +362,14 @@ def _lstm_local(gates: np.ndarray, c_prev: np.ndarray,
     return local, o * (1.0 - tanh_c * tanh_c), f
 
 
-def _lstm_backward(x: Node, w: Node, xh: np.ndarray, gates: np.ndarray,
-                   cells: np.ndarray, tanh_c: np.ndarray, dh_out: np.ndarray,
-                   dc_last: np.ndarray) -> tuple[np.ndarray | None, ...]:
-    """Backpropagation through time over the T cached steps of an LSTM op
-    with parents (x, w, b, h0, c0), returning their five gradients.
-    ``dh_out`` holds the gradient into each step's hidden state, ``dc_last``
-    the gradient into the last cell state. The weight gradient is one
-    dZᵀ·[X; H_prev] matmul, and the bias, input, h0 and c0 gradients come
-    from the same pass; the input's is None when ``x`` needs none."""
-    steps, hs = tanh_c.shape
-    width = xh.shape[1] - hs
-    local, dc_dh, f = _lstm_local(gates, cells[:-1], tanh_c)
-    w_h = w.value[:, width:].copy()     # contiguous, for the per-step product
-    dz = np.empty((steps, 4 * hs))
-    dz4 = dz.reshape(steps, 4, hs)
-    dh_next, dc_next = np.zeros(hs), dc_last
-    for t in range(steps - 1, -1, -1):
-        dh = dh_out[t] + dh_next
-        dc = dh * dc_dh[t] + dc_next
-        np.multiply(local[t], dc, out=dz4[t])
-        np.multiply(local[t, 2], dh, out=dz4[t, 2])
-        dc_next = dc * f[t]
-        dh_next = dz[t] @ w_h
-    dx = (dz @ w.value)[:, :width].reshape(x.value.shape) if x.requires_grad else None
-    return dx, dz.T @ xh, dz.sum(axis=0), dh_next, dc_next
-
-
 def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node) -> Node:
     """Hidden states h_1 .. h_T of an LSTM over the T rows of ``x``,
     started from (h0, c0), as one op.
 
     Every row runs the kernel shared with ``lstm_step``, so the outputs
-    are bitwise equal to chained steps. The gates are cached, and backward runs the
-    recurrence through time by hand.
+    are bitwise equal to chained steps. The gates are cached, and backward
+    runs the recurrence through time by hand, with one dZᵀ·[X; H_prev]
+    matmul for the weight gradient.
     """
     hs = h0.value.shape[0] if h0.value.ndim == 1 else -1
     if (x.value.ndim != 2 or x.value.shape[0] == 0 or hs < 1 or c0.value.shape != (hs,)
@@ -415,59 +389,58 @@ def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node) -> Node:
         c, tanh_c[t], h = _lstm_row(w.value, b.value, xh[t], c, gates[t])
         cells[t + 1] = c
         out_value[t] = h
-    return _op("lstm_seq", out_value, (x, w, b, h0, c0),
-               lambda g: _lstm_backward(x, w, xh, gates, cells, tanh_c, g, np.zeros(hs)))
+
+    def grads(g):
+        local, dc_dh, f = _lstm_local(gates, cells[:-1], tanh_c)
+        w_h = w.value[:, width:].copy()     # contiguous, for the per-step product
+        dz = np.empty((steps, 4 * hs))
+        dz4 = dz.reshape(steps, 4, hs)
+        dh_next, dc_next = np.zeros(hs), np.zeros(hs)
+        for t in range(steps - 1, -1, -1):
+            dh = g[t] + dh_next
+            dc = dh * dc_dh[t] + dc_next
+            np.multiply(local[t], dc, out=dz4[t])
+            np.multiply(local[t, 2], dh, out=dz4[t, 2])
+            dc_next = dc * f[t]
+            dh_next = dz[t] @ w_h
+        dx = (dz @ w.value)[:, :width] if x.requires_grad else None
+        return dx, dz.T @ xh, dz.sum(axis=0), dh_next, dc_next
+    return _op("lstm_seq", out_value, (x, w, b, h0, c0), grads)
 
 
 def lstm_step(x: Node, w: Node, b: Node, h: Node, c: Node) -> tuple[Node, Node]:
     """The hidden and cell states after one LSTM step from (h, c) on the
-    vector ``x``, as one op: the row kernel of ``lstm_seq`` forward, and its
-    backward pass through time over one step, seeded with the gradients
-    into both new states. The op's node holds the two states as rows 0
-    and 1; the returned nodes read them.
+    vector ``x``, as one op running the row kernel of ``lstm_seq``.
 
     With B rows of ``x``, ``h`` and ``c``, it steps B independent states
-    that share the weights, as one matrix product: row r of each result is
-    the vector step of row r, to rounding. The node then holds the B new
-    hidden states above the B new cell states."""
+    that share the weights with one matrix product: row r of each result
+    is the vector step of row r, to rounding. The op's node holds the new
+    hidden states above the new cell states. Backward steps every row at
+    once, a vector being one row, from the gradients into both states."""
     hs = h.value.shape[-1] if h.value.ndim in (1, 2) else -1
     if (x.value.ndim != h.value.ndim or x.value.shape[:-1] != h.value.shape[:-1]
             or h.value.shape[:-1] == (0,) or hs < 1 or c.value.shape != h.value.shape
             or w.value.shape != (4 * hs, x.value.shape[-1] + hs) or b.value.shape != (4 * hs,)):
         _shape_error("lstm_step (x, w, b, h, c)", x, w, b, h, c)
-    if x.value.ndim == 2:
-        return _lstm_rows(x, w, b, h, c)
-    xh = np.concatenate([x.value, h.value])[None]   # one row, as in lstm_seq
-    gates = np.empty((1, 4 * hs))
-    cells = np.empty((2, hs))                         # c and the new c
-    cells[0] = c.value
-    cells[1], tanh_c, h_new = _lstm_row(w.value, b.value, xh[0], c.value, gates[0])
-    out = _op("lstm_step", np.array([h_new, cells[1]]), (x, w, b, h, c),
-              lambda g: _lstm_backward(x, w, xh, gates, cells, tanh_c[None], g[:1], g[1]))
-    return row(out, 0), row(out, 1)
-
-
-def _lstm_rows(x: Node, w: Node, b: Node, h: Node, c: Node) -> tuple[Node, Node]:
-    """``lstm_step`` on B rows. No state passes between rows, so backward
-    is one step per row, all rows at once."""
-    rows, width = x.value.shape
-    xh = np.concatenate([x.value, h.value], axis=1)
-    gates = np.empty((rows, 4 * h.value.shape[1]))
+    xh = np.concatenate([x.value, h.value], axis=-1)
+    gates = np.empty(h.value.shape[:-1] + (4 * hs,))
     c_new, tanh_c, h_new = _lstm_row(w.value, b.value, xh, c.value, gates)
 
     def grads(g):
         local, dc_dh, f = _lstm_local(gates, c.value, tanh_c)
-        dh = g[:rows]
-        dc = dh * dc_dh + g[rows:]
+        dh, dc_out = g.reshape(2, -1, hs)       # per row: into the new h, into the new c
+        dc = dh * dc_dh + dc_out
         dz4 = local * dc[:, None]
         dz4[:, 2] = local[:, 2] * dh
-        dz = dz4.reshape(rows, -1)
+        dz = dz4.reshape(len(dc), -1)
         dxh = dz @ w.value
-        return (dxh[:, :width] if x.requires_grad else None, dz.T @ xh, dz.sum(axis=0),
-                dxh[:, width:], dc * f)
-    out = _op("lstm_step", np.concatenate([h_new, c_new]), (x, w, b, h, c), grads)
-    index = np.arange(rows)
-    return row(out, index), row(out, index + rows)
+        width = x.value.shape[-1]
+        return (dxh[:, :width].reshape(x.value.shape) if x.requires_grad else None,
+                dz.T @ xh.reshape(len(dc), -1), dz.sum(axis=0),
+                dxh[:, width:].reshape(h.value.shape), (dc * f).reshape(c.value.shape))
+    out = _op("lstm_step", np.array([h_new, c_new]).reshape(-1, hs), (x, w, b, h, c), grads)
+    index = 0 if h.value.ndim == 1 else np.arange(len(h_new))
+    return row(out, index), row(out, index + len(out.value) // 2)
 
 
 def dropout(a: Node, rate: float, rng: np.random.Generator) -> Node:

@@ -124,6 +124,8 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
         if not (type(shape) is list and type(entry.get("name")) is str
                 and all(type(d) is int and d >= 0 for d in shape)):
             raise CheckpointError(f"{path}: header entry needs a name and an integer shape")
+        if entry["name"] in state:
+            raise CheckpointError(f"{path}: header names {entry['name']!r} twice")
         shape = tuple(shape)
         count = math.prod(shape)
         end = offset + 8 * count

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import re
 import shlex
 import shutil
@@ -233,6 +234,25 @@ def test_config_file_supplies_flags(tmp_path, capsys):
     assert [s.lemma for s in other] != [s.lemma for s in made]
 
 
+def test_repeatable_flags_replace_the_config_file_list(lang, tmp_path, capsys):
+    gold = str(lang / "dev.tsv")
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("language = de\n")
+    assert main(["eval", "--config", str(cfg), "--gold", gold, "--pred", gold]) == 0
+    assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "de", "macro-avg"]
+    # an explicit flag replaces the file's list rather than adding to it
+    assert main(["eval", "--config", str(cfg), "--language", "en",
+                 "--gold", gold, "--pred", gold]) == 0
+    assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "en", "macro-avg"]
+    cfg.write_text(f"language = de fr\ngold = {gold} {gold}\npred = {gold} {gold}\n")
+    assert main(["eval", "--config", str(cfg), "--language", "en", "--language", "it",
+                 "--gold", gold, "--gold", gold, "--pred", gold, "--pred", gold]) == 0
+    assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "en", "it", "macro-avg"]
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["train", "--arch", "GRU", "--train", "x", "--dev", "y",
                  "--out", "z"]) == 1
@@ -354,6 +374,19 @@ def _edit_manifest(edit):
     return corrupt
 
 
+def _repeat_first_entry(ckpt):
+    """The first parameter listed a second time, with a second payload."""
+    raw = (ckpt / "params.bin").read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 12)
+    header = json.loads(raw[20:20 + length])
+    first = header["entries"][0]
+    header["entries"].append(first)
+    payload = raw[20 + length:]
+    text = json.dumps(header).encode()
+    (ckpt / "params.bin").write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(text))
+                                      + text + payload + payload[:8 * math.prod(first["shape"])])
+
+
 def _write_header(header: bytes):
     def corrupt(ckpt):
         (ckpt / "params.bin").write_bytes(
@@ -375,9 +408,10 @@ def _write_header(header: bytes):
     _write_header(b'{"entries": [{"name": "w", "shape": [2.5]}]}'),
     _write_header(b"not json"),
     lambda ckpt: (ckpt / "params.bin").write_bytes(MAGIC + b"\x01"),
+    _repeat_first_entry,
 ], ids=["no-hidden", "no-arch", "hidden-str", "hidden-zero", "chars-int", "seed-str",
         "not-object", "bad-json", "no-entries", "no-shape", "float-shape", "header-json",
-        "short-params"])
+        "short-params", "repeated-name"])
 def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys, corrupt):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoints / "HACM_smart", ckpt)

@@ -140,11 +140,37 @@ def test_fused_loss_runs_under_finite_checks(arch):
     oracle = ARCHS[arch][1](smart_align("gelingen", "gelang"))
     with nc.finite_checks():
         nc.backward(model.sample_loss("gelingen", ("V",), oracle, rng=np.random.default_rng(3)))
-    cell = model.decoder if arch == "HACM" else model.lstm_y
+    cell = model.decoder if arch == "HACM" else model.tracks[0][0]
     cell.b.value[0] = np.nan  # the sequence op's output turns non-finite
     with nc.finite_checks(), pytest.raises(FloatingPointError, match="lstm_seq"):
         model.sample_loss("gelingen", ("V",), oracle, training=False)
 
+
+def _reachable(root):
+    """Every node reachable from ``root`` through its parents, leaves included."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+# nodes of the HAEM loss tape, features V;PST, smart aligner
+TAPE_NODES = {
+    ("HAEM", "fliegen", "geflogen"): 60, ("HAEM", "gelingen", "gelang"): 62,
+    ("HAEM", "abgab", "fbolf"): 62, ("HAEM-basic", "fliegen", "geflogen"): 44,
+    ("HAEM-basic", "gelingen", "gelang"): 44, ("HAEM-basic", "abgab", "fbolf"): 44,
+}
+
+
+@pytest.mark.parametrize("arch,lemma,form", sorted(TAPE_NODES))
+def test_haem_loss_tape_does_not_grow(arch, lemma, form):
+    model = build(arch, dropout=0.5)
+    oracle = haem_oracle(smart_align(lemma, form))
+    loss = model.sample_loss(lemma, ("V", "PST"), oracle, rng=np.random.default_rng(0))
+    assert _reachable(loss) <= TAPE_NODES[arch, lemma, form]
 
 
 def _error(build_loss):

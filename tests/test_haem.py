@@ -40,7 +40,7 @@ def test_state_input_dimension_law():
     basic = build(cfg=ModelConfig(hidden=6, embed=5, feat_embed=3,
                                   variant="basic", dropout=0.0))
     assert basic.state_proj.in_size == h + 2 * h + slots
-    assert not hasattr(basic, "lstm_a")
+    assert len(basic.tracks) == 1
     assert "act_emb" not in basic.params.names()
 
 
@@ -92,12 +92,13 @@ def test_copy_appends_raw_oov_character():
 
 def test_write_resets_deletion_lstm():
     m = build(seed=5)
+    d_cell = m.tracks[2][0]
     state = m.start("abf", ("V",))
-    assert state.d[0] is m.lstm_d.h0
+    assert state.lstms[2][0] is d_cell.h0
     state = m.apply(m.apply(state, DELETE), DELETE)
-    assert state.d[0] is not m.lstm_d.h0
+    assert state.lstms[2][0] is not d_cell.h0
     state = m.apply(state, write("g"))
-    assert state.d[0] is m.lstm_d.h0
+    assert state.lstms[2][0] is d_cell.h0
     assert state.out == "g"
 
 
