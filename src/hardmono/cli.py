@@ -186,6 +186,9 @@ def _load_pool(directories: list[str]) -> list[PoolEntry]:
         dev_accuracy = manifest.get("dev_accuracy")
         if dev_accuracy is None:
             raise EnsembleError(f"{directory}: checkpoint has no recorded dev accuracy")
+        if not 0.0 <= dev_accuracy <= 1.0:    # false for nan too
+            raise EnsembleError(f"{directory}: checkpoint dev accuracy {dev_accuracy} "
+                                "outside [0, 1]")
         pool.append(PoolEntry(name, model, manifest["aligner"], float(dev_accuracy)))
     return pool
 

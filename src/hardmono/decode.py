@@ -12,12 +12,15 @@ lemma itself.
 ``greedy_decode_all`` decodes a list in lockstep: each input is encoded by
 the model's ``start``, then all unfinished inputs advance together, so
 each LSTM step is one matrix product over their rows and each output head
-runs once per step. Every input keeps its own executor and leaves the
-batch when it finishes. Both loops apply the same decode rules (``_Row``,
-``_hacm_next``, ``_haem_action``). A product over many rows rounds
-differently from one over a vector, so the lockstep distributions match
-the per-input ones to rounding (the tests allow 1e-12), and the
-predictions are the same unless two actions tie that closely.
+runs once per step. Every input keeps its own executor and its own row of
+each LSTM state for the whole decode; a step reads the rows of the inputs
+still on the active list and writes its results back into them, and an
+input that finishes only leaves the list. Both loops apply the same
+decode rules (``_Row``, ``_hacm_next``, ``_haem_action``). A product
+over many rows rounds differently from one over a vector, so the
+lockstep distributions match the per-input ones to rounding (the tests
+allow 1e-12), and the predictions are the same unless two actions tie
+that closely.
 """
 
 from __future__ import annotations
@@ -169,15 +172,19 @@ def _decode_all_hacm(model: HacmModel, states: list[HacmState]) -> list[DecodeRe
     # attended rows
     frames, first = _stack([s.frame for s in states])
     feats = nc.vstack([s.feat_vec for s in states])
-    lstm = _stack_states([s.lstm for s in states])
-    active = np.arange(len(states))
-    while active.size:
+    # row r of h and c is input r's decoder state for the whole decode
+    h = np.array([s.lstm[0].value for s in states])
+    c = np.array([s.lstm[1].value for s in states])
+    active = list(range(len(states)))
+    while active:
         for r in active:
             exs[r] = exs[r].apply(codec.action_of(prev[r]))
         emb = model.act_emb(np.array([prev[r] for r in active]))
         attended = nc.row(frames, first[active] + np.array([exs[r].i for r in active]))
         feat = nc.row(feats, active)
-        lstm = model.decoder.step(nc.concat([emb, attended, feat]), lstm)
+        lstm = model.decoder.step(nc.concat([emb, attended, feat]),
+                                  (nc.constant(h[active]), nc.constant(c[active])))
+        h[active], c[active] = lstm[0].value, lstm[1].value
         copy_ids = [model._copy_id(exs[r]) for r in active]
         # rows attending an out-of-vocabulary character skip the head
         head = np.array([k for k, cid in enumerate(copy_ids) if cid is not None], dtype=int)
@@ -188,15 +195,9 @@ def _decode_all_hacm(model: HacmModel, states: list[HacmState]) -> list[DecodeRe
                                      np.array([copy_ids[k] for k in head]))
             for k, dist in zip(head, mixture.value):
                 dists[k] = dist
-        keep = []
-        for k, r in enumerate(active):
-            action_id = _hacm_next(model, exs[r], dists[k], rows[r])
-            if action_id is not None:
-                prev[r] = action_id
-                keep.append(k)
-        keep = np.array(keep, dtype=int)
-        active = active[keep]
-        lstm = (nc.row(lstm[0], keep), nc.row(lstm[1], keep))
+        for r, dist in zip(active, dists):
+            prev[r] = _hacm_next(model, exs[r], dist, rows[r])
+        active = [r for r in active if prev[r] is not None]
     return [row.result(row.out, HACM) for row in rows]
 
 
@@ -232,27 +233,28 @@ def _decode_all_haem(model: HaemModel, states: list[HaemState]) -> list[DecodeRe
     exs = [s.ex for s in states]
     encoded, first = _stack([s.encoded for s in states])
     feats = nc.vstack([s.feat_vec for s in states])
-    lstms = [_stack_states(track) for track in zip(*(s.lstms for s in states))]
-    active = np.arange(len(states))
-    while active.size:
+    # per tracking LSTM, (h, c) with row r input r's state for the whole decode
+    lstms = [(np.array([h.value for h, _ in track]), np.array([c.value for _, c in track]))
+             for track in zip(*(s.lstms for s in states))]
+    active = list(range(len(states)))
+    while active:
         attended = nc.row(encoded, first[active] + np.array([exs[r].i - 1 for r in active]))
-        x = model._input([h for h, _ in lstms], attended, nc.row(feats, active))
+        x = model._input([nc.constant(h[active]) for h, _ in lstms], attended,
+                         nc.row(feats, active))
         valid = np.array([model._valid(exs[r]) for r in active])
-        dists = model._scores(x, valid).value
-        keep, feeds = [], []          # the kept rows, and each one's feed per track
-        for k, r in enumerate(active):
+        going, feeds = [], []         # the inputs that go on, and each one's feed per track
+        for r, dist in zip(active, model._scores(x, valid).value):
             ex = exs[r]
-            action = _haem_action(model, ex.out, dists[k], rows[r])
+            action = _haem_action(model, ex.out, dist, rows[r])
             if action is None:
                 continue
             exs[r] = ex.apply(action)
             if rows[r].end_step(exs[r].done):
-                keep.append(k)
+                going.append(r)
                 feeds.append(model._feeds(ex, action))
-        keep = np.array(keep, dtype=int)
-        active = active[keep]
-        lstms = [_advance(track, lstm, keep, [f[t] for f in feeds])
-                 for t, (track, lstm) in enumerate(zip(model.tracks, lstms))]
+        active = going
+        for t, (track, lstm) in enumerate(zip(model.tracks, lstms)):
+            _advance(track, lstm, active, [f[t] for f in feeds])
     return [row.result(ex.out, model.arch) for row, ex in zip(rows, exs)]
 
 
@@ -264,35 +266,21 @@ def _stack(tables: list[Node]) -> tuple[Node, np.ndarray]:
     return nc.vstack(tables), np.cumsum([0] + [t.shape[0] for t in tables[:-1]])
 
 
-def _stack_states(states: list[tuple[Node, Node]]) -> tuple[Node, Node]:
-    """Per-input LSTM (h, c) vectors as one (h, c) pair of row matrices."""
-    return nc.vstack([h for h, _ in states]), nc.vstack([c for _, c in states])
-
-
-def _advance(track: tuple[LstmCell, EmbeddingTable], state: tuple[Node, Node],
-             keep: np.ndarray, feeds: list) -> tuple[Node, Node]:
-    """One tracking LSTM's states for the batch rows ``keep`` after one
-    action: kept row j (the j-th entry of ``keep``) steps on ``feeds[j]``,
-    restarts from the learned state on RESTART, or keeps its state on None."""
+def _advance(track: tuple[LstmCell, EmbeddingTable], state: tuple[np.ndarray, np.ndarray],
+             rows: list[int], feeds: list) -> None:
+    """One tracking LSTM's (h, c) rows after one action, in place: row
+    ``rows[j]`` steps on ``feeds[j]``, restarts from the learned state on
+    RESTART, or keeps its state on None."""
     cell, emb = track
     h, c = state
-    steps = [j for j, feed in enumerate(feeds) if feed is not None and feed is not RESTART]
-    # kept row j reads row source[j] of [h; the stepped rows; the learned state]
-    source = list(keep)
-    for k, j in enumerate(steps):
-        source[j] = h.shape[0] + k
-    for j, feed in enumerate(feeds):
-        if feed is RESTART:
-            source[j] = h.shape[0] + len(steps)
-    hs, cs = [h], [c]
+    steps = [(r, feed) for r, feed in zip(rows, feeds) if feed is not None and feed is not RESTART]
     if steps:
-        rows = keep[steps]
-        new = cell.step(emb(np.array([feeds[j] for j in steps])),
-                        (nc.row(h, rows), nc.row(c, rows)))
-        hs.append(new[0])
-        cs.append(new[1])
-    index = np.array(source, dtype=int)
-    return nc.row(nc.vstack(hs + [cell.h0]), index), nc.row(nc.vstack(cs + [cell.c0]), index)
+        at = [r for r, _ in steps]
+        new = cell.step(emb(np.array([feed for _, feed in steps])),
+                        (nc.constant(h[at]), nc.constant(c[at])))
+        h[at], c[at] = new[0].value, new[1].value
+    restart = [r for r, feed in zip(rows, feeds) if feed is RESTART]
+    h[restart], c[restart] = cell.h0.value, cell.c0.value
 
 
 def has_runaway_repeat(text: str, threshold: int = MAX_RUN_LENGTH) -> bool:

@@ -160,7 +160,9 @@ def _oracle_fn(arch: str):
 
 def train_model(arch: str, aligner: str, train: list[Sample], dev: list[Sample],
                 sizes: ModelConfig, config: TrainConfig) -> TrainResult:
-    """Train one model; returns it holding the best-dev-accuracy weights."""
+    """Train one model; returns it holding the best-dev-accuracy weights.
+    The model trains with ``config.dropout``, which replaces
+    ``sizes.dropout``."""
     if arch not in (HACM, HAEM):
         raise ValueError(f"unknown architecture {arch!r}")
     if aligner not in ALIGNERS:

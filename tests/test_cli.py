@@ -420,6 +420,27 @@ def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("accuracy", [math.nan, 7.5, -0.1], ids=["nan", "7.5", "negative"])
+def test_ensemble_rejects_a_pool_dev_accuracy_outside_0_1(lang, checkpoints, tmp_path, capsys,
+                                                          accuracy):
+    """A manifest's dev accuracy ranks its voter, so a value that is no
+    accuracy fails like a bad --external-dev-acc, before anything is
+    written."""
+    bad = tmp_path / "HAEM_smart"
+    shutil.copytree(checkpoints / "HAEM_smart", bad)
+    _edit_manifest(lambda m: m.update(dev_accuracy=accuracy))(bad)
+    out = tmp_path / "ens.tsv"
+    for run in ("1", "2"):
+        code = main(["ensemble", "--run", run, "--pool", str(checkpoints / "HACM_smart"),
+                     str(bad), "--dev", str(lang / "dev.tsv"), "--test", str(lang / "test.tsv"),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dev accuracy" in err and "outside [0, 1]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 NOT_UTF8 = b"abc\tabd\tV\n\xff\tx\tV\n"   # line 2 is not UTF-8
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import itertools
 import random
 
@@ -21,7 +22,7 @@ from hardmono.decode import (
     post_filter,
 )
 from hardmono.hacm import HacmModel, ModelConfig
-from hardmono.haem import HaemModel
+from hardmono.haem import RESTART, HaemModel
 from hardmono.oracle import (
     COPY,
     STOP,
@@ -419,6 +420,63 @@ def test_lockstep_resets_the_deleted_run_on_write(rule_inputs):
         for r in assert_lockstep_matches(m, queries, rule_inputs):
             tags = [a.tag for a in r.trace.actions]
             assert tags[:tags.index("WRITE")] == ["DELETE"] * tags.index("WRITE")
+
+
+def test_lockstep_advances_kept_stepped_and_restarted_rows_together(rule_inputs, monkeypatch):
+    """Weights that tie the action to the input's feature: V copies, PST
+    deletes and an unseen tag writes, so on one step the deleted-run LSTM
+    keeps one row, steps another and restarts a third."""
+    m = random_model("HAEM", 0)
+    hs = m.config.hidden
+    for unit, (slot, action_id) in enumerate([
+            (m.feats.slot_of("V"), m.COPY_ID), (m.feats.slot_of("PST"), m.DELETE_ID),
+            (m.feats.slot_of("N"), m.codec.write_id("o"))]):
+        m.state_proj.w.value[unit, 3 * hs + slot] = 100.0
+        m.act_out.w.value[action_id, unit] = 10.0
+    mixes = []
+
+    def advance(track, state, rows, feeds, inner=decode._advance):
+        if track is m.tracks[2]:
+            mixes.append({"keep" if f is None else "restart" if f is RESTART else "step"
+                          for f in feeds})
+        return inner(track, state, rows, feeds)
+
+    monkeypatch.setattr(decode, "_advance", advance)
+    queries = [("fliegen", ("V",)), ("gelingen", ("PST",)), ("fog", ("N",)),
+               ("abgab", ("PST",)), ("lob", ("V",)), ("fliegenbalogonifelagil", ("N",))]
+    results = assert_lockstep_matches(m, queries, rule_inputs)
+    firsts = [r.trace.actions[0].tag for r in results]
+    assert firsts == ["COPY", "DELETE", "WRITE", "DELETE", "COPY", "WRITE"]
+    assert {"keep", "step", "restart"} in mixes
+
+
+def _digest(arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_lockstep_decode_writes_into_no_parameter_or_start_state(trained, name):
+    """The lockstep loops write each step's states into rows of their own;
+    none may alias a learned initial state, as a batch of one could. The
+    weights are checked after every call: a decode that forgets its
+    initial state could overwrite it with what an earlier call wrote."""
+    model = trained[0][name]
+    queries = trained[1] + OOV_QUERIES + LONG_QUERIES
+
+    def start_states():
+        states = [model.start(*q) for q in queries]
+        return [part.value for s in states
+                for pair in (s.lstms if model.arch == "HAEM" else [s.lstm]) for part in pair]
+
+    weights, starts = _digest(model.params.state_dict().values()), _digest(start_states())
+    for size in (1, len(queries)):
+        for i in range(0, len(queries), size):
+            greedy_decode_all(model, queries[i:i + size])
+            assert _digest(model.params.state_dict().values()) == weights, (size, i)
+        assert _digest(start_states()) == starts, size
 
 
 def test_lockstep_decode_of_nothing_and_of_an_empty_lemma():
