@@ -79,6 +79,20 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+# the commands whose --out is one file, written through _emit
+EMITTERS = ("align", "oracle", "predict", "eval", "ensemble")
+
+
+def _check_out(out: str) -> None:
+    """Reject an output file that ``_emit`` could not write, before the
+    command does any work."""
+    path = Path(out)
+    if path.is_dir():
+        raise DataError(f"{out}: is a directory")
+    if not path.parent.is_dir():
+        raise DataError(f"{out}: no such directory {str(path.parent)!r}")
+
+
 # --- commands ---------------------------------------------------------------
 
 
@@ -509,6 +523,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if e.code in (0, None) else 1
         if args.verbose:
             logging.basicConfig(level=logging.INFO, format="%(message)s")
+        if args.command in EMITTERS and args.out:
+            _check_out(args.out)
         return args.func(args)
     except (DataError, SynthError, CheckpointError, EnsembleError, ReplayError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -44,8 +44,10 @@ class Sample:
 
 
 def open_text(path: str) -> io.TextIOWrapper:
-    """The file as UTF-8 text, read like ``open(path, encoding="utf-8")``;
-    bytes that are not UTF-8 raise DataError naming the file and line."""
+    """The file as UTF-8 text, read like ``open(path, encoding="utf-8")``
+    but without a leading byte-order mark, which would otherwise join the
+    first lemma; bytes that are not UTF-8 raise DataError naming the file
+    and line."""
     with open(path, "rb") as f:
         data = f.read()
     try:
@@ -53,7 +55,7 @@ def open_text(path: str) -> io.TextIOWrapper:
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
         raise DataError(f"{path}:{line}: not UTF-8 text ({e.reason})") from None
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
 
 
 def parse_dataset(path: str, has_form: bool = True) -> list[Sample]:

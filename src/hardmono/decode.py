@@ -9,18 +9,20 @@ prediction containing a character repeated 10+ times in a row) with the
 lemma itself.
 
 ``greedy_decode`` runs one input through the model's per-step API.
-``greedy_decode_all`` decodes a list in lockstep: each input is encoded by
-the model's ``start``, then all unfinished inputs advance together, so
-each LSTM step is one matrix product over their rows and each output head
-runs once per step. Every input keeps its own executor and its own row of
-each LSTM state for the whole decode; a step reads the rows of the inputs
-still on the active list and writes its results back into them, and an
-input that finishes only leaves the list. Both loops apply the same
-decode rules (``_Row``, ``_hacm_next``, ``_haem_action``). A product
-over many rows rounds differently from one over a vector, so the
-lockstep distributions match the per-input ones to rounding (the tests
-allow 1e-12), and the predictions are the same unless two actions tie
-that closely.
+``greedy_decode_all`` decodes a list in lockstep. The encoder reads every
+input at once, longest first, with one product per direction per step
+over the inputs still running, and writes all frames into one table.
+Then all unfinished inputs advance together, so each LSTM step is one
+matrix product over their rows and each output head runs once per step.
+Every input keeps its own executor and its own row of each LSTM state for
+the whole decode; a step reads the rows of the inputs still on the active
+list and writes its results back into them, and an input that finishes
+only leaves the list. Both loops apply the same decode rules (``_Row``,
+``_hacm_next``, ``_haem_action``). A product over many rows rounds
+differently from one over a vector, so the batch's frames and
+distributions match the per-input ones to rounding (the tests allow
+1e-12), and the predictions are the same unless two actions tie that
+closely.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hardmono import numcore as nc
-from hardmono.hacm import HacmModel, HacmState
-from hardmono.haem import RESTART, HaemModel, HaemState
+from hardmono.hacm import HacmModel
+from hardmono.haem import RESTART, HaemModel
 from hardmono.nn import EmbeddingTable, LstmCell
-from hardmono.numcore import Node
-from hardmono.oracle import HACM, Action, HacmExecutor, OracleSequence, write
+from hardmono.oracle import HACM, Action, HacmExecutor, HaemExecutor, OracleSequence, write
 
 END_ACTION = "END_ACTION"
 LENGTH_CAP = "LENGTH_CAP"
@@ -110,10 +111,10 @@ def greedy_decode_all(model: HacmModel | HaemModel,
     if not inputs:
         return []
     with nc.no_grad():
-        states = [model.start(lemma, features) for lemma, features in inputs]
+        frames, first = model._frames([lemma for lemma, _ in inputs])
         if model.arch == HACM:
-            return _decode_all_hacm(model, states)
-        return _decode_all_haem(model, states)
+            return _decode_all_hacm(model, inputs, frames, first)
+        return _decode_all_haem(model, inputs, frames, first)
 
 
 # --- the copy-mixture model ---
@@ -162,25 +163,22 @@ def _decode_hacm(model: HacmModel, lemma: str, features: tuple[str, ...]) -> Dec
     return row.result(row.out, HACM)
 
 
-def _decode_all_hacm(model: HacmModel, states: list[HacmState]) -> list[DecodeResult]:
+def _decode_all_hacm(model: HacmModel, inputs: Sequence[tuple[str, tuple[str, ...]]],
+                     frames: np.ndarray, first: np.ndarray) -> list[DecodeResult]:
     codec = model.codec
     bos = codec.specials[1]
-    rows = [_Row(s.ex.lemma, [bos]) for s in states]
-    exs = [s.ex for s in states]
-    prev = [codec.id_of(bos)] * len(states)
-    # every input's frame in one table, so that one gather reads a step's
-    # attended rows
-    frames, first = _stack([s.frame for s in states])
-    feats = nc.vstack([s.feat_vec for s in states])
+    rows = [_Row(lemma, [bos]) for lemma, _ in inputs]
+    exs = [HacmExecutor(lemma) for lemma, _ in inputs]
+    prev = [codec.id_of(bos)] * len(inputs)
+    feats = nc.vstack([model.feature_vector(features) for _, features in inputs])
     # row r of h and c is input r's decoder state for the whole decode
-    h = np.array([s.lstm[0].value for s in states])
-    c = np.array([s.lstm[1].value for s in states])
-    active = list(range(len(states)))
+    h, c = model.decoder._start_rows(len(inputs))
+    active = list(range(len(inputs)))
     while active:
         for r in active:
             exs[r] = exs[r].apply(codec.action_of(prev[r]))
         emb = model.act_emb(np.array([prev[r] for r in active]))
-        attended = nc.row(frames, first[active] + np.array([exs[r].i for r in active]))
+        attended = nc.constant(frames[first[active] + np.array([exs[r].i for r in active])])
         feat = nc.row(feats, active)
         lstm = model.decoder.step(nc.concat([emb, attended, feat]),
                                   (nc.constant(h[active]), nc.constant(c[active])))
@@ -228,17 +226,16 @@ def _decode_haem(model: HaemModel, lemma: str, features: tuple[str, ...]) -> Dec
     return row.result(state.out, model.arch)
 
 
-def _decode_all_haem(model: HaemModel, states: list[HaemState]) -> list[DecodeResult]:
-    rows = [_Row(s.ex.lemma, []) for s in states]
-    exs = [s.ex for s in states]
-    encoded, first = _stack([s.encoded for s in states])
-    feats = nc.vstack([s.feat_vec for s in states])
+def _decode_all_haem(model: HaemModel, inputs: Sequence[tuple[str, tuple[str, ...]]],
+                     frames: np.ndarray, first: np.ndarray) -> list[DecodeResult]:
+    rows = [_Row(lemma, []) for lemma, _ in inputs]
+    exs = [HaemExecutor(lemma) for lemma, _ in inputs]
+    feats = nc.vstack([model.feature_indicator(features) for _, features in inputs])
     # per tracking LSTM, (h, c) with row r input r's state for the whole decode
-    lstms = [(np.array([h.value for h, _ in track]), np.array([c.value for _, c in track]))
-             for track in zip(*(s.lstms for s in states))]
-    active = list(range(len(states)))
+    lstms = [cell._start_rows(len(inputs)) for cell, _ in model.tracks]
+    active = list(range(len(inputs)))
     while active:
-        attended = nc.row(encoded, first[active] + np.array([exs[r].i - 1 for r in active]))
+        attended = nc.constant(frames[first[active] + np.array([exs[r].i - 1 for r in active])])
         x = model._input([nc.constant(h[active]) for h, _ in lstms], attended,
                          nc.row(feats, active))
         valid = np.array([model._valid(exs[r]) for r in active])
@@ -259,11 +256,6 @@ def _decode_all_haem(model: HaemModel, states: list[HaemState]) -> list[DecodeRe
 
 
 # --- batch bookkeeping ---
-
-
-def _stack(tables: list[Node]) -> tuple[Node, np.ndarray]:
-    """All rows of ``tables`` in one table, and the row where each starts."""
-    return nc.vstack(tables), np.cumsum([0] + [t.shape[0] for t in tables[:-1]])
 
 
 def _advance(track: tuple[LstmCell, EmbeddingTable], state: tuple[np.ndarray, np.ndarray],

@@ -96,12 +96,22 @@ class HacmModel:
                  for s in range(self.feats.num_slots)]
         return nc.concat(parts)
 
-    def _frame(self, lemma: str) -> Node:
-        """The encoded BOS + lemma + EOS frame, one row per position."""
+    def _frame_ids(self, lemma: str) -> np.ndarray:
+        """The symbols the encoder reads: BOS + lemma + EOS."""
         if not lemma:
             raise ValueError("empty lemma")
-        ids = [self.vocab.BOS_ID] + [self.vocab.id_of(c) for c in lemma] + [self.vocab.EOS_ID]
-        return self.encoder(self.char_emb(np.array(ids)))
+        return np.array([self.vocab.BOS_ID] + [self.vocab.id_of(c) for c in lemma]
+                        + [self.vocab.EOS_ID])
+
+    def _frame(self, lemma: str) -> Node:
+        """The encoded BOS + lemma + EOS frame, one row per position."""
+        return self.encoder(self.char_emb(self._frame_ids(lemma)))
+
+    def _frames(self, lemmas: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """``_frame`` of every lemma, to rounding and without a tape, in one
+        table, and the row where each starts."""
+        table = self.char_emb.table.value
+        return self.encoder.encode_all([table[self._frame_ids(lemma)] for lemma in lemmas])
 
     def start(self, lemma: str, features: tuple[str, ...]) -> HacmState:
         return HacmState(self._frame(lemma), self.feature_vector(features),

@@ -92,16 +92,26 @@ class HaemModel:
             vec[slot] = 1.0
         return nc.constant(vec)
 
-    def _encode(self, lemma: str) -> Node:
-        """Rows h_1 .. h_n over the bare lemma, then the learned
-        end-of-lemma vector as row n, which stands in for h_{n+1}."""
+    def _frame_ids(self, lemma: str) -> np.ndarray:
+        """The symbols the encoder reads: the bare lemma."""
         if not lemma:
             raise ValueError("empty lemma")
-        ids = np.array([self.vocab.id_of(c) for c in lemma])
-        return nc.vstack([self.encoder(self.char_emb(ids)), self.end_vec])
+        return np.array([self.vocab.id_of(c) for c in lemma])
+
+    def _frame(self, lemma: str) -> Node:
+        """Rows h_1 .. h_n over the bare lemma, then the learned
+        end-of-lemma vector as row n, which stands in for h_{n+1}."""
+        return nc.vstack([self.encoder(self.char_emb(self._frame_ids(lemma))), self.end_vec])
+
+    def _frames(self, lemmas: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """``_frame`` of every lemma, to rounding and without a tape, in
+        one table, and the row where each starts."""
+        table = self.char_emb.table.value
+        return self.encoder.encode_all([table[self._frame_ids(lemma)] for lemma in lemmas],
+                                       tail=self.end_vec.value)
 
     def start(self, lemma: str, features: tuple[str, ...]) -> HaemState:
-        return HaemState(self._encode(lemma), self.feature_indicator(features),
+        return HaemState(self._frame(lemma), self.feature_indicator(features),
                          HaemExecutor(lemma), tuple((cell.h0, cell.c0) for cell, _ in self.tracks))
 
     # --- scoring ---
@@ -181,7 +191,7 @@ class HaemModel:
         actions = oracle.actions
         if oracle.inventory != HAEM or not actions or actions[-1].tag != "STOP":
             raise ValueError("oracle must be a STOP-terminated edit sequence")
-        encoded = self._encode(lemma)
+        encoded = self._frame(lemma)
         if training and rng is None:
             raise ValueError("training mode needs a dropout generator")
         # replay: per step, the state before its action (h_i as a row of

@@ -4,7 +4,8 @@ and a bidirectional encoder.
 Layers take one input vector (a decoding step) or a matrix with one input
 per row (a training loss over a whole sequence, or one decoding step of
 many inputs at once). The encoder has one call for both, a matrix of
-inputs in and a matrix of positions out.
+inputs in and a matrix of positions out, and one tape-free call that
+encodes a list of inputs together for decoding.
 
 All weights initialize uniform(-0.1, 0.1) from the caller's generator;
 biases start at zero except the LSTM forget gate, which starts at +1 so
@@ -12,6 +13,8 @@ early training doesn't wash out the cell state.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -131,6 +134,26 @@ class LstmCell:
         the learned state, as one op."""
         return nc.lstm_seq(x, self.w, self.b, self.h0, self.c0)
 
+    def _start_rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` rows of the learned start state (h0, c0), each a copy."""
+        return np.tile(self.h0.value, (n, 1)), np.tile(self.c0.value, (n, 1))
+
+    def _packed(self, x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Hidden states over a time-major batch of inputs, without a tape.
+        Step t reads the next sizes[t] rows of ``x``, one per input still
+        running, and those inputs are the first sizes[t] of the step
+        before; each step is one product over their rows."""
+        h, c = self._start_rows(sizes[0])
+        gates = np.empty((sizes[0], self.b.value.shape[0]))
+        out = np.empty((x.shape[0], h.shape[1]))
+        at = 0
+        for k in sizes:
+            xh = np.concatenate([x[at:at + k], h[:k]], axis=1)
+            c, _, h = nc._lstm_row(self.w.value, self.b.value, xh, c[:k], gates[:k])
+            out[at:at + k] = h
+            at += k
+        return out
+
 
 class BiEncoder:
     """Bidirectional single-layer LSTM; position i sees the whole input and
@@ -148,3 +171,36 @@ class BiEncoder:
         back = np.arange(x.value.shape[0])[::-1]
         bwd = nc.row(self.bwd.sequence(nc.row(x, back)), back)
         return nc.concat([self.fwd.sequence(x), bwd])
+
+    def encode_all(self, xs: Sequence[np.ndarray],
+                   tail: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """What this encoder makes of every input in ``xs``, to rounding,
+        in one table without a tape: input k's rows start at row first[k],
+        followed by the row ``tail`` when it is given. Returns the table and
+        first.
+
+        The inputs run longest first and time-major, so the ones still
+        running at step t are a prefix of the batch, and each direction
+        steps them with one product. The backward direction reads every
+        input from its own last row, so no input steps on padding."""
+        lengths = np.array([len(x) for x in xs])
+        if not lengths.size or not lengths.all():
+            raise ValueError("encoder needs nonempty input sequences")
+        order = np.argsort(-lengths, kind="stable")
+        sizes = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+        # stepped row j is input who[j] at step when[j]; the forward direction
+        # reads its position when[j] there, the backward one position back[j]
+        who = np.concatenate([order[:k] for k in sizes])
+        when = np.repeat(np.arange(len(sizes)), sizes)
+        back = lengths[who] - 1 - when
+        x = np.concatenate(xs)
+        start = np.cumsum(lengths) - lengths         # of each input in x
+        width = lengths + (tail is not None)         # of each input in the table
+        first = np.cumsum(width) - width
+        hs = self.fwd.h0.value.shape[0]
+        out = np.empty((width.sum(), 2 * hs))
+        out[first[who] + when, :hs] = self.fwd._packed(x[start[who] + when], sizes)
+        out[first[who] + back, hs:] = self.bwd._packed(x[start[who] + back], sizes)
+        if tail is not None:
+            out[first + lengths] = tail
+        return out, first

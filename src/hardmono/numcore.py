@@ -334,8 +334,9 @@ def masked_softmax(a: Node, valid: np.ndarray) -> Node:
 
 def _lstm_row(w: np.ndarray, b: np.ndarray, xh: np.ndarray, c: np.ndarray,
               gates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One LSTM step on arrays, the kernel of ``lstm_seq`` and ``lstm_step``
-    (gate layout input, forget, output, candidate along 4H). ``xh`` and
+    """One LSTM step on arrays, the kernel of ``lstm_seq``, ``lstm_step``
+    and the tape-free batch encoder (gate layout input, forget, output,
+    candidate along 4H). ``xh`` and
     ``c`` are one row, or B rows stepped by one matrix product. Fills
     ``gates`` with the gates after their nonlinearities and returns the new
     cell state, its tanh and the new hidden state."""

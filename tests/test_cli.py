@@ -460,3 +460,44 @@ def test_non_utf8_input_is_a_data_error(lang, checkpoints, tmp_path, capsys, arg
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"{bad}:2:" in err
+
+
+def test_predict_of_a_byte_order_marked_file_writes_no_mark(lang, checkpoints, tmp_path):
+    rows = (lang / "test.tsv").read_text(encoding="utf-8")
+    marked = tmp_path / "marked.tsv"
+    marked.write_text("\ufeff" + rows, encoding="utf-8")
+    outs = []
+    for name, data in (("plain", lang / "test.tsv"), ("marked", marked)):
+        out = tmp_path / f"{name}.out"
+        assert main(["predict", "--model", str(checkpoints / "HAEM_smart"),
+                     "--input", str(data), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[1] == outs[0]
+    assert "\ufeff".encode() not in outs[1]
+
+
+EMITTING = {
+    "align": lambda lang, ckpts: ["align", "--data", str(lang / "dev.tsv")],
+    "oracle": lambda lang, ckpts: ["oracle", "--data", str(lang / "dev.tsv"), "--arch", "HAEM"],
+    "predict": lambda lang, ckpts: ["predict", "--model", str(ckpts / "HAEM_smart"),
+                                    "--input", str(lang / "test.tsv")],
+    "eval": lambda lang, ckpts: ["eval", "--language", "x", "--gold", str(lang / "dev.tsv"),
+                                 "--pred", str(lang / "dev.tsv")],
+    "ensemble": lambda lang, ckpts: ["ensemble", "--run", "1", "--pool",
+                                     str(ckpts / "HACM_smart"), "--dev", str(lang / "dev.tsv"),
+                                     "--test", str(lang / "test.tsv")],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", sorted(EMITTING))
+def test_an_unwritable_out_is_rejected_before_any_work(lang, checkpoints, tmp_path, capsys,
+                                                       monkeypatch, command, where):
+    out = tmp_path / "nope" / "o.tsv" if where == "missing-directory" else tmp_path
+    for name in ("parse_dataset", "load_checkpoint"):
+        monkeypatch.setattr(f"hardmono.cli.{name}", lambda *a, **k: pytest.fail("work began"))
+    assert main(EMITTING[command](lang, checkpoints) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

@@ -109,3 +109,14 @@ def test_build_vocab_sorted_union():
 def test_build_vocab_includes_form_chars():
     vocab, _ = build_vocab([Sample("a", ("V",), "az")])
     assert "z" in vocab.chars
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    rows = "abc\tabd\tV;PST\nfog\tfogs\tV\n"
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_text(rows, encoding="utf-8")
+    marked.write_text("\ufeff" + rows, encoding="utf-8")
+    samples = parse_dataset(str(marked))
+    assert samples == parse_dataset(str(plain))
+    assert samples[0].lemma == "abc"
+    assert "\ufeff" not in build_vocab(samples)[0].chars

@@ -484,3 +484,61 @@ def test_lockstep_decode_of_nothing_and_of_an_empty_lemma():
     assert greedy_decode_all(model, []) == []
     with pytest.raises(ValueError, match="empty"):
         greedy_decode_all(model, [("fog", ("V",)), ("", ("V",))])
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_batch_encoder_matches_each_start_in_any_order(name, monkeypatch):
+    """The frames lockstep decoding encodes together are within
+    LOCKSTEP_ATOL of each input's own ``start``, for inputs of 1 to 30
+    letters given in file order or shuffled, and the encoder steps exactly
+    one row per input position in each direction: none on padding."""
+    model = random_model(name, 0)
+    rng = random.Random(7)
+    lemmas = ["".join(rng.choice("abfgilnoe") for _ in range(n))
+              for n in [*range(1, 31), 1, 5, 5, 30]]
+
+    def own(lemma):
+        state = model.start(lemma, ("V",))
+        return (state.frame if model.arch == "HACM" else state.encoded).value
+
+    stepped = []
+
+    def kernel(w, b, xh, c, gates, inner=nc._lstm_row):
+        stepped.append(len(xh))
+        return inner(w, b, xh, c, gates)
+
+    frames = {}
+    for order in (list(range(len(lemmas))), rng.sample(range(len(lemmas)), len(lemmas))):
+        stepped.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(nc, "_lstm_row", kernel)
+            table, first = model._frames([lemmas[k] for k in order])
+        sizes = [len(model._frame_ids(lemmas[k])) for k in order]
+        assert sum(stepped) == 2 * sum(sizes)
+        assert len(table) == sum(len(own(lemma)) for lemma in lemmas)
+        for k, start in zip(order, first):
+            want = own(lemmas[k])
+            got = table[start:start + len(want)]
+            assert np.allclose(got, want, rtol=0, atol=LOCKSTEP_ATOL), (name, len(lemmas[k]))
+            frames.setdefault(k, []).append(got)
+    assert all(np.allclose(a, b, rtol=0, atol=LOCKSTEP_ATOL) for a, b in frames.values())
+    for bad in ([], [np.zeros((2, 4)), np.zeros((0, 4))]):
+        with pytest.raises(ValueError, match="nonempty"):
+            model.encoder.encode_all(bad)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_lockstep_batch_of_short_oov_and_overlong_lemmas(trained, name, rule_inputs):
+    """One batch mixing a 1-letter lemma, an out-of-vocabulary lemma and a
+    lemma longer than any seen in training decodes as greedy_decode does,
+    in batches of 1, 7 and all."""
+    models, queries = trained
+    train, _, _ = generate(SynthConfig(train=24, dev=8, test=8, seed=5))
+    longest = max(len(s.lemma) for s in train)
+    overlong = (train[0].lemma * 3)[:longest + 5]
+    model = models[name]
+    assert any(c not in model.vocab.chars for c in OOV_QUERIES[0][0])
+    batch = [*queries[:4], (train[1].lemma[0], ("V",)), *queries[4:8], OOV_QUERIES[0],
+             *queries[8:11], (overlong, train[0].features), *queries[11:13]]
+    results = assert_lockstep_matches(model, batch, rule_inputs)
+    assert len(results) == len(batch) > 14
