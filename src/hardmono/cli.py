@@ -66,9 +66,11 @@ def _read_predictions(path: str) -> list[str]:
     return rows
 
 
-def _labeled(samples: list[Sample], path: str) -> list[Sample]:
-    if any(s.form is None for s in samples):
-        raise DataError(f"{path}: this command needs labeled samples")
+def _samples(path: str, has_form: bool = True) -> list[Sample]:
+    """The samples of a data file, which must hold at least one."""
+    samples = parse_dataset(path, has_form=has_form)
+    if not samples:
+        raise DataError(f"{path}: no samples")
     return samples
 
 
@@ -97,7 +99,7 @@ def _check_out(out: str) -> None:
 
 
 def cmd_align(args) -> int:
-    samples = _labeled(parse_dataset(args.data), args.data)
+    samples = _samples(args.data)
     align = ALIGNERS[args.aligner]
     text = "".join(f"{s.lemma}\t{s.form}\t{render(align(s.lemma, s.form))}\n"
                    for s in samples)
@@ -106,7 +108,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    samples = _labeled(parse_dataset(args.data), args.data)
+    samples = _samples(args.data)
     align = ALIGNERS[args.aligner]
     derive = hacm_oracle if args.arch == HACM else haem_oracle
     lines = []
@@ -138,8 +140,8 @@ def _save_history(directory: str | Path, history: list[dict]) -> None:
 
 
 def cmd_train(args) -> int:
-    train = _labeled(parse_dataset(args.train), args.train)
-    dev = _labeled(parse_dataset(args.dev), args.dev)
+    train = _samples(args.train)
+    dev = _samples(args.dev)
     result = train_model(args.arch, args.aligner, train, dev,
                          _model_config(args), _train_config(args))
     save_checkpoint(args.out, result.model, args.aligner,
@@ -152,7 +154,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, _ = load_checkpoint(args.model)
-    samples = parse_dataset(args.input, has_form=not args.no_form)
+    samples = _samples(args.input, not args.no_form)
     predictions = predict_all(model, samples)
     _emit(args, _prediction_lines(samples, predictions))
     return 0
@@ -163,7 +165,7 @@ def cmd_eval(args) -> int:
         raise DataError("--language, --gold, and --pred must repeat in step")
     results = []
     for language, gold_path, pred_path in zip(args.language, args.gold, args.pred):
-        gold = _labeled(parse_dataset(gold_path), gold_path)
+        gold = _samples(gold_path)
         predictions = _read_predictions(pred_path)
         if len(predictions) != len(gold):
             raise DataError(f"{pred_path}: {len(predictions)} predictions "
@@ -223,8 +225,8 @@ def _external_member(args, order: int) -> Member | None:
 
 def cmd_ensemble(args) -> int:
     pool = _load_pool(args.pool)
-    dev = _labeled(parse_dataset(args.dev), args.dev)
-    test = parse_dataset(args.test, has_form=not args.no_form)
+    dev = _samples(args.dev)
+    test = _samples(args.test, not args.no_form)
     result = run_strategy(args.run, pool, dev, test, external=_external_member(args, len(pool)))
     _emit(args, _prediction_lines(test, list(result.predictions)))
     print(f"run {result.run}: {result.system} dev_accuracy={result.dev_accuracy:.4f}")
@@ -261,6 +263,8 @@ def cmd_run(args) -> int:
     counts = _resolve_counts(args)
     if not args.synth and not (args.train and args.dev and args.test):
         raise DataError("run needs --train/--dev/--test, or --synth")
+    if args.synth and min(args.train_size, args.dev_size, args.test_size) < 1:
+        raise DataError("run --synth needs at least one sample in each split")
     out = Path(args.out)
     if args.synth:
         paths = write_language(str(out / "data"),
@@ -272,9 +276,9 @@ def cmd_run(args) -> int:
     else:
         train_path, dev_path, test_path = args.train, args.dev, args.test
 
-    train = _labeled(parse_dataset(train_path), train_path)
-    dev = _labeled(parse_dataset(dev_path), dev_path)
-    test = parse_dataset(test_path, has_form=not args.no_form)
+    train = _samples(train_path)
+    dev = _samples(dev_path)
+    test = _samples(test_path, not args.no_form)
     out.mkdir(parents=True, exist_ok=True)
 
     manifest = {

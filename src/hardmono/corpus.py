@@ -79,6 +79,8 @@ def parse_dataset(path: str, has_form: bool = True) -> list[Sample]:
             if not feats:
                 raise DataError(f"{path}:{lineno}: empty feature set")
             form = cols[1] if has_form else None
+            if form == "":
+                raise DataError(f"{path}:{lineno}: empty form")
             samples.append(Sample(lemma=lemma, features=feats, form=form))
     return samples
 

@@ -15,6 +15,7 @@ one and then treats STEP as the previous action.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,6 +117,43 @@ class HacmModel:
     def start(self, lemma: str, features: tuple[str, ...]) -> HacmState:
         return HacmState(self._frame(lemma), self.feature_vector(features),
                          HacmExecutor(lemma), (self.decoder.h0, self.decoder.c0))
+
+    def lockstep(self, inputs: Sequence[tuple[str, tuple[str, ...]]]
+                 ) -> tuple[list[HacmExecutor], Callable]:
+        """``start`` of every (lemma, features) input at once, without a
+        tape: one executor per input, and ``step(rows, actions)``, which
+        ``step``s each row on its last action id (BOS first) and returns
+        the rows' next distributions, one per row, None for a row whose
+        attended character is out of vocabulary. Row r of the decoder's
+        (h, c) is input r's state for the whole decode, so a step reads and
+        writes only the rows it is given."""
+        frames, first = self._frames([lemma for lemma, _ in inputs])
+        feats = nc.vstack([self.feature_vector(features) for _, features in inputs])
+        h, c = self.decoder._start_rows(len(inputs))
+        exs = [HacmExecutor(lemma) for lemma, _ in inputs]
+
+        def step(rows: list[int], actions: list[int]) -> list[np.ndarray | None]:
+            for r, action_id in zip(rows, actions):
+                exs[r] = exs[r].apply(self.codec.action_of(action_id))
+            emb = self.act_emb(np.array(actions))
+            attended = nc.constant(frames[first[rows] + np.array([exs[r].i for r in rows])])
+            feat = nc.row(feats, rows)
+            lstm = self.decoder.step(nc.concat([emb, attended, feat]),
+                                     (nc.constant(h[rows]), nc.constant(c[rows])))
+            h[rows], c[rows] = lstm[0].value, lstm[1].value
+            copy_ids = [self._copy_id(exs[r]) for r in rows]
+            # rows attending an out-of-vocabulary character skip the head
+            head = np.array([k for k, cid in enumerate(copy_ids) if cid is not None], dtype=int)
+            dists = [None] * len(rows)
+            if head.size:
+                mixture = self._mixture(nc.row(attended, head), nc.row(feat, head),
+                                        nc.row(emb, head), nc.row(lstm[0], head),
+                                        np.array([copy_ids[k] for k in head]))
+                for k, dist in zip(head, mixture.value):
+                    dists[k] = dist
+            return dists
+
+        return exs, step
 
     # --- one transition ---
 

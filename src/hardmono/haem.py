@@ -19,6 +19,7 @@ in training pass through untouched; their embedding feeds are the UNK row.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -113,6 +114,33 @@ class HaemModel:
     def start(self, lemma: str, features: tuple[str, ...]) -> HaemState:
         return HaemState(self._frame(lemma), self.feature_indicator(features),
                          HaemExecutor(lemma), tuple((cell.h0, cell.c0) for cell, _ in self.tracks))
+
+    def lockstep(self, inputs: Sequence[tuple[str, tuple[str, ...]]]
+                 ) -> tuple[list[HaemExecutor], Callable]:
+        """``start`` of every (lemma, features) input at once, without a
+        tape: one executor per input, and ``step(rows, actions)``, which
+        applies each row's last action (None before its first step) and
+        returns the rows' next distributions, one per row. Row r of each
+        tracking LSTM's (h, c) is input r's state for the whole decode, so
+        a step reads and writes only the rows it is given."""
+        frames, first = self._frames([lemma for lemma, _ in inputs])
+        feats = nc.vstack([self.feature_indicator(features) for _, features in inputs])
+        lstms = [cell._start_rows(len(inputs)) for cell, _ in self.tracks]
+        exs = [HaemExecutor(lemma) for lemma, _ in inputs]
+
+        def step(rows: list[int], actions: list[Action | None]) -> np.ndarray:
+            moved = [(r, action) for r, action in zip(rows, actions) if action is not None]
+            feeds = [self._feeds(exs[r], action) for r, action in moved]
+            for r, action in moved:
+                exs[r] = exs[r].apply(action)
+            for t, (track, lstm) in enumerate(zip(self.tracks, lstms)):
+                _advance(track, lstm, [r for r, _ in moved], [f[t] for f in feeds])
+            attended = nc.constant(frames[first[rows] + np.array([exs[r].i - 1 for r in rows])])
+            x = self._input([nc.constant(h[rows]) for h, _ in lstms], attended,
+                            nc.row(feats, rows))
+            return self._scores(x, np.array([self._valid(exs[r]) for r in rows])).value
+
+        return exs, step
 
     # --- scoring ---
 
@@ -239,3 +267,20 @@ class HaemModel:
                 blocks.append(cell.sequence(emb(np.array(ids))))
         states = nc.vstack(blocks)
         return states if states.shape[0] == len(reads) else nc.row(states, np.array(reads))
+
+
+def _advance(track: tuple[LstmCell, EmbeddingTable], state: tuple[np.ndarray, np.ndarray],
+             rows: list[int], feeds: list) -> None:
+    """One tracking LSTM's (h, c) rows after one action, in place: row
+    ``rows[j]`` steps on ``feeds[j]``, restarts from the learned state on
+    RESTART, or keeps its state on None."""
+    cell, emb = track
+    h, c = state
+    steps = [(r, feed) for r, feed in zip(rows, feeds) if feed is not None and feed is not RESTART]
+    if steps:
+        at = [r for r, _ in steps]
+        new = cell.step(emb(np.array([feed for _, feed in steps])),
+                        (nc.constant(h[at]), nc.constant(c[at])))
+        h[at], c[at] = new[0].value, new[1].value
+    restart = [r for r, feed in zip(rows, feeds) if feed is RESTART]
+    h[restart], c[restart] = cell.h0.value, cell.c0.value

@@ -290,8 +290,9 @@ def test_train_bad_learning_rate_is_a_usage_error(lang, tmp_path, capsys, lr):
       "--test", "missing/test.tsv"], 2),
     (["--synth", "--no-form"], 1),
     (["--synth", "--run", "1", "--hacm-naive", "0"], 2),
+    (["--synth", "--test-size", "0"], 2),
 ], ids=["epochs-0", "hidden-0", "negative-count", "no-data", "missing-data", "synth-no-form",
-        "empty-run-cell"])
+        "empty-run-cell", "synth-empty-split"])
 def test_run_rejects_a_bad_config_before_writing(tmp_path, capsys, flags, code):
     argv = ["run", "--out", str(tmp_path / "d"), "--train-size", "4", "--dev-size", "2",
             "--test-size", "2", *TINY, *flags]
@@ -501,3 +502,42 @@ def test_an_unwritable_out_is_rejected_before_any_work(lang, checkpoints, tmp_pa
     assert err.startswith(f"error: {out}: ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+EMPTY_FILE = {
+    "train-train": lambda e, lang, ckpts, out: [
+        "train", "--arch", "HAEM", "--train", e, "--dev", str(lang / "dev.tsv"), "--out", out],
+    "train-dev": lambda e, lang, ckpts, out: [
+        "train", "--arch", "HACM", "--train", str(lang / "train.tsv"), "--dev", e, "--out", out],
+    "run-train": lambda e, lang, ckpts, out: [
+        "run", "--train", e, "--dev", str(lang / "dev.tsv"), "--test", str(lang / "test.tsv"),
+        "--out", out],
+    "run-test": lambda e, lang, ckpts, out: [
+        "run", "--train", str(lang / "train.tsv"), "--dev", str(lang / "dev.tsv"), "--test", e,
+        "--out", out],
+    "eval-gold": lambda e, lang, ckpts, out: [
+        "eval", "--language", "x", "--gold", e, "--pred", e, "--out", out],
+    "ensemble-dev": lambda e, lang, ckpts, out: [
+        "ensemble", "--run", "1", "--pool", str(ckpts / "HACM_smart"), "--dev", e,
+        "--test", str(lang / "test.tsv"), "--out", out],
+    "ensemble-test": lambda e, lang, ckpts, out: [
+        "ensemble", "--run", "1", "--pool", str(ckpts / "HACM_smart"),
+        "--dev", str(lang / "dev.tsv"), "--test", e, "--out", out],
+    "predict-input": lambda e, lang, ckpts, out: [
+        "predict", "--model", str(ckpts / "HAEM_smart"), "--input", e, "--out", out],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMPTY_FILE))
+def test_an_empty_data_file_is_a_data_error_before_any_work(lang, checkpoints, tmp_path, capsys,
+                                                            monkeypatch, command):
+    """A data file with no samples exits 2 and names the file, before any
+    model is trained or decoded and before any output is written."""
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("\n")
+    out = tmp_path / "out"
+    for name in ("train_model", "train_population", "predict_all", "run_strategy"):
+        monkeypatch.setattr(f"hardmono.cli.{name}", lambda *a, **k: pytest.fail("work began"))
+    assert main(EMPTY_FILE[command](str(empty), lang, checkpoints, str(out))) == 2
+    assert capsys.readouterr().err == f"error: {empty}: no samples\n"
+    assert not out.exists()

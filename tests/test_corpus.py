@@ -36,6 +36,9 @@ def test_parse_errors_carry_location(tmp_path):
     p.write_text("good\tgood\tV\nonly-one-column\n")
     with pytest.raises(DataError, match=r"bad\.tsv:2"):
         parse_dataset(p)
+    p.write_text("good\tgood\tV\nfog\t\tV;PST\n")
+    with pytest.raises(DataError, match=r"bad\.tsv:2: empty form$"):
+        parse_dataset(p)
 
 
 def test_parse_rejects_wrong_arity(tmp_path):

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from hardmono import decode
+from hardmono import decode, haem
 from hardmono import numcore as nc
 from hardmono.align import ALIGNERS
 from hardmono.corpus import CharVocabulary, FeatureAlphabet
@@ -435,19 +435,48 @@ def test_lockstep_advances_kept_stepped_and_restarted_rows_together(rule_inputs,
         m.act_out.w.value[action_id, unit] = 10.0
     mixes = []
 
-    def advance(track, state, rows, feeds, inner=decode._advance):
+    def advance(track, state, rows, feeds, inner=haem._advance):
         if track is m.tracks[2]:
             mixes.append({"keep" if f is None else "restart" if f is RESTART else "step"
                           for f in feeds})
         return inner(track, state, rows, feeds)
 
-    monkeypatch.setattr(decode, "_advance", advance)
+    monkeypatch.setattr(haem, "_advance", advance)
     queries = [("fliegen", ("V",)), ("gelingen", ("PST",)), ("fog", ("N",)),
                ("abgab", ("PST",)), ("lob", ("V",)), ("fliegenbalogonifelagil", ("N",))]
     results = assert_lockstep_matches(m, queries, rule_inputs)
     firsts = [r.trace.actions[0].tag for r in results]
     assert firsts == ["COPY", "DELETE", "WRITE", "DELETE", "COPY", "WRITE"]
     assert {"keep", "step", "restart"} in mixes
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_lockstep_steps_each_lstm_as_many_rows_as_single_decodes(trained, name, monkeypatch):
+    """Over the same inputs, greedy_decode_all steps every decoder or
+    tracking LSTM on exactly as many rows as the greedy_decode calls do: one
+    row per action a decode consumes, and none for a decode that has ended."""
+    models, queries = trained
+    queries = queries + OOV_QUERIES + LONG_QUERIES
+    for model in (models[name], stop_on_pst(name, 0)):
+        cells = [model.decoder] if model.arch == "HACM" else [cell for cell, _ in model.tracks]
+        stepped = [0] * len(cells)
+
+        def kernel(w, b, xh, c, gates, inner=nc._lstm_row):
+            for k, cell in enumerate(cells):
+                if w is cell.w.value:
+                    stepped[k] += len(xh) if xh.ndim == 2 else 1
+            return inner(w, b, xh, c, gates)
+
+        monkeypatch.setattr(nc, "_lstm_row", kernel)
+        single = [greedy_decode(model, *q) for q in queries]
+        want, stepped[:] = list(stepped), [0] * len(cells)
+        assert want[0] > 0
+        for size in (1, 7, len(queries)):
+            for i in range(0, len(queries), size):
+                greedy_decode_all(model, queries[i:i + size])
+            assert stepped == want, size
+            stepped[:] = [0] * len(cells)
+    assert {r.terminated_by for r in single} == {END_ACTION, LENGTH_CAP}
 
 
 def _digest(arrays):
