@@ -123,9 +123,9 @@ def cmd_oracle(args) -> int:
 
 
 def _model_config(args) -> ModelConfig:
+    # the dropout rate travels in TrainConfig, which train_model applies
     return ModelConfig(hidden=args.hidden, embed=args.embed,
-                       feat_embed=args.feat_embed, variant=args.variant,
-                       dropout=args.dropout)
+                       feat_embed=args.feat_embed, variant=args.variant)
 
 
 def _train_config(args, seed: int | None = None) -> TrainConfig:
@@ -330,19 +330,21 @@ def cmd_run(args) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", type=int, default=100, help="LSTM hidden size")
-    p.add_argument("--embed", type=int, default=100, help="character/action embedding size")
-    p.add_argument("--feat-embed", type=int, default=20, help="feature embedding size")
-    p.add_argument("--variant", choices=("basic", "extended"), default="extended",
+    p.add_argument("--hidden", type=int, default=ModelConfig.hidden, help="LSTM hidden size")
+    p.add_argument("--embed", type=int, default=ModelConfig.embed,
+                   help="character/action embedding size")
+    p.add_argument("--feat-embed", type=int, default=ModelConfig.feat_embed,
+                   help="feature embedding size")
+    p.add_argument("--variant", choices=("basic", "extended"), default=ModelConfig.variant,
                    help="decoder-state feature set")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--dropout", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--dropout", type=float, default=TrainConfig.dropout)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 def _add_synth_sizes(p: argparse.ArgumentParser) -> None:
@@ -455,20 +457,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, registry
 
 
-def _coerce(action: argparse.Action, value: str):
+def _coerce(key: str, action: argparse.Action, value: str):
+    """The value of config ``key`` for ``action``; errors name the key as
+    the file writes it."""
     if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
         lowered = value.strip().lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
-        raise ValueError(f"config key {action.dest!r}: not a boolean: {value!r}")
+        raise ValueError(f"config key {key!r}: not a boolean: {value!r}")
     convert = action.type or str
     if action.nargs in ("+", "*") or isinstance(action, argparse._AppendAction):
         return [convert(v) for v in value.split()]
     converted = convert(value)
     if action.choices is not None and converted not in action.choices:
-        raise ValueError(f"config key {action.dest!r}: invalid choice {value!r}")
+        raise ValueError(f"config key {key!r}: invalid choice {value!r}")
     return converted
 
 
@@ -482,7 +486,7 @@ def _apply_config(sub: argparse.ArgumentParser, values: dict[str, str]) -> None:
         if key not in actions:
             raise ValueError(f"config key {key!r} is not a flag of this command")
         action = actions[key]
-        sub.set_defaults(**{action.dest: _coerce(action, value)})
+        sub.set_defaults(**{action.dest: _coerce(key, action, value)})
         if action.required:
             action.required = False
 

@@ -115,9 +115,9 @@ class CharVocabulary:
     def __post_init__(self) -> None:
         if len(set(self.chars)) != len(self.chars):
             raise ValueError("duplicate characters in vocabulary")
-        for sentinel in (BOS, EOS, UNK):
-            if sentinel in self.chars:
-                raise ValueError(f"sentinel {sentinel!r} collides with a real character")
+        for char in self.chars:   # every sentinel is longer, so none can collide
+            if len(char) != 1:
+                raise ValueError(f"vocabulary entry {char!r} is not one character")
 
     def __len__(self) -> int:
         return self.NUM_SPECIALS + len(self.chars)

@@ -142,16 +142,11 @@ class HacmModel:
                                      (nc.constant(h[rows]), nc.constant(c[rows])))
             h[rows], c[rows] = lstm[0].value, lstm[1].value
             copy_ids = [self._copy_id(exs[r]) for r in rows]
-            # rows attending an out-of-vocabulary character skip the head
-            head = np.array([k for k, cid in enumerate(copy_ids) if cid is not None], dtype=int)
-            dists = [None] * len(rows)
-            if head.size:
-                mixture = self._mixture(nc.row(attended, head), nc.row(feat, head),
-                                        nc.row(emb, head), nc.row(lstm[0], head),
-                                        np.array([copy_ids[k] for k in head]))
-                for k, dist in zip(head, mixture.value):
-                    dists[k] = dist
-            return dists
+            # the head runs on every row; one attending an out-of-vocabulary
+            # character does so on a placeholder copy id and gets no distribution
+            mixture = self._mixture(attended, feat, emb, lstm[0],
+                                    np.array([0 if cid is None else cid for cid in copy_ids]))
+            return [None if cid is None else dist for cid, dist in zip(copy_ids, mixture.value)]
 
         return exs, step
 

@@ -312,22 +312,15 @@ def softmax(a: Node) -> Node:
 def masked_softmax(a: Node, valid: np.ndarray) -> Node:
     """Softmax over the positions where ``valid`` is True, per row for a
     matrix; the rest of the output is exactly 0.0 and receives no
-    gradient."""
+    gradient. A vector and a one-row matrix give bitwise the same
+    distribution: the masked entries enter each sum as exact zeros."""
     if a.value.ndim not in (1, 2) or valid.shape != a.value.shape:
         raise ValueError(f"masked_softmax: logits {a.value.shape} vs mask {valid.shape}")
     if not valid.any(axis=-1).all():
         raise ValueError("masked_softmax: no valid positions")
-    if a.value.ndim == 1:
-        # normalise over the valid entries alone, so a vector's sum runs
-        # over exactly those terms
-        z = a.value[valid]
-        e = np.exp(z - z.max())
-        p = np.zeros_like(a.value)
-        p[valid] = e / e.sum()
-    else:
-        z = np.where(valid, a.value, -np.inf)
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
+    z = np.where(valid, a.value, -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     return _op("masked_softmax", p, (a,),
                lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 

@@ -253,7 +253,41 @@ def test_repeatable_flags_replace_the_config_file_list(lang, tmp_path, capsys):
         "en", "it", "macro-avg"]
 
 
-def test_exit_codes(tmp_path, capsys):
+@pytest.mark.parametrize("argv, text, code, expect", [
+    (["oracle", "--arch", "HAEM", "--data", "{data}", "--config={cfg}"],
+     "# oracle flags\n\ntrace = yes\n", 0, 4),
+    (["oracle", "--arch", "HAEM", "--data", "{data}", "--config", "{cfg}"], "trace = off\n", 0, 3),
+    (["predict", "--config", "{cfg}", "--model", "m", "--input", "i"], "no-form = maybe\n", 1,
+     "error: config key 'no-form': not a boolean: 'maybe'\n"),
+    (["align", "--config", "{cfg}"], "aligner = fancy\n", 1,
+     "error: config key 'aligner': invalid choice 'fancy'\n"),
+    (["align", "--config", "{cfg}"], "aligner naive\n", 2,
+     "error: {cfg}:1: expected key = value\n"),
+], ids=["comments-and-true", "false", "not-a-boolean", "invalid-choice", "no-equals"])
+def test_config_file_lines_and_values(lang, tmp_path, capsys, argv, text, code, expect):
+    """A config file may hold comments and blank lines and spell a switch
+    as a word; a value it cannot take is an error that names the key as
+    the file writes it. ``expect`` is the column count of the output, or
+    the error."""
+    cfg = tmp_path / "c3.cfg"
+    cfg.write_text(text)
+    assert main([a.format(cfg=cfg, data=lang / "dev.tsv") for a in argv]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err == expect.format(cfg=cfg)
+    else:
+        assert {len(line.split("\t")) for line in out.splitlines()} == {expect}
+
+
+def test_train_records_the_dropout_flag(lang, tmp_path):
+    out = tmp_path / "m"
+    assert main(["train", "--arch", "HAEM", "--train", str(lang / "train.tsv"),
+                 "--dev", str(lang / "dev.tsv"), "--out", str(out),
+                 *TINY[:-1], "0.1"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["dropout"] == 0.1
+
+
+def test_exit_codes(lang, tmp_path, capsys):
     assert main(["train", "--arch", "GRU", "--train", "x", "--dev", "y",
                  "--out", "z"]) == 1
     assert main(["predict", "--model", str(tmp_path / "none"),
@@ -264,6 +298,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "s")]) == 1
     assert main(["--help"]) == 0
     assert main(["eval", "--language", "a", "--gold", "x"]) == 1  # missing --pred
+    capsys.readouterr()
+    assert main(["train", "--arch", "HACM", "--train", str(lang / "train.tsv"),
+                 "--dev", str(lang / "dev.tsv"), "--out", str(tmp_path / "m"),
+                 "--hidden", "8", "--embed", "8", "--feat-embed", "4", "--epochs", "2",
+                 "--lr", "1e300"]) == 3
+    assert capsys.readouterr().err.startswith("error: non-finite loss at epoch")
 
 
 def test_train_bad_hyperparameters_are_usage_errors(lang):
@@ -401,6 +441,8 @@ def _write_header(header: bytes):
     _edit_manifest(lambda m: m.update(hidden="4")),
     _edit_manifest(lambda m: m.update(hidden=0)),
     _edit_manifest(lambda m: m.update(chars=[1, 2])),
+    _edit_manifest(lambda m: m.update(chars=["zz"] + m["chars"][1:])),
+    _edit_manifest(lambda m: m.update(chars=[""] + m["chars"][1:])),
     _edit_manifest(lambda m: m.update(seed="1")),
     lambda ckpt: (ckpt / "manifest.json").write_text("[]"),
     lambda ckpt: (ckpt / "manifest.json").write_text('{"arch": "HACM",'),
@@ -410,9 +452,9 @@ def _write_header(header: bytes):
     _write_header(b"not json"),
     lambda ckpt: (ckpt / "params.bin").write_bytes(MAGIC + b"\x01"),
     _repeat_first_entry,
-], ids=["no-hidden", "no-arch", "hidden-str", "hidden-zero", "chars-int", "seed-str",
-        "not-object", "bad-json", "no-entries", "no-shape", "float-shape", "header-json",
-        "short-params", "repeated-name"])
+], ids=["no-hidden", "no-arch", "hidden-str", "hidden-zero", "chars-int", "chars-multi",
+        "chars-empty", "seed-str", "not-object", "bad-json", "no-entries", "no-shape",
+        "float-shape", "header-json", "short-params", "repeated-name"])
 def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys, corrupt):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoints / "HACM_smart", ckpt)

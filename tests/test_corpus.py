@@ -77,6 +77,13 @@ def test_char_vocabulary_layout():
     assert len(v) == 6
 
 
+@pytest.mark.parametrize("chars", [("a", "zz"), ("",), ("a", "<s>")],
+                         ids=["two-letters", "empty", "sentinel"])
+def test_char_vocabulary_rejects_an_entry_that_is_not_one_character(chars):
+    with pytest.raises(ValueError, match="not one character"):
+        CharVocabulary(chars)
+
+
 def test_char_vocabulary_oov_maps_to_unk():
     v = CharVocabulary(("a",))
     assert v.id_of("z") == v.UNK_ID

@@ -24,8 +24,10 @@ from hardmono.decode import (
 from hardmono.hacm import HacmModel, ModelConfig
 from hardmono.haem import RESTART, HaemModel
 from hardmono.oracle import (
+    BOS,
     COPY,
     STOP,
+    HacmExecutor,
     HaemExecutor,
     OracleSequence,
     hacm_oracle,
@@ -151,6 +153,19 @@ def test_hacm_oov_characters_copied_verbatim():
     assert r.prediction == "XY"
     assert r.terminated_by == END_ACTION
     assert replay("aXbY", r.trace) == "XY"
+
+
+def test_hacm_oov_copy_at_a_full_output_ends_at_the_cap():
+    """An out-of-vocabulary character that no longer fits in the output
+    ends the decode at LENGTH_CAP and is not copied."""
+    m = build("HACM", chars="ab")
+    ex = HacmExecutor("aXb", i=2)
+    assert ex.frame_symbol().char not in m.vocab.chars
+    row = decode._Row("aXb", BOS)
+    row.out = "a" * row.write_cap
+    assert decode._hacm_next(m, ex, None, row) is None
+    assert row.result(m.arch) == DecodeResult("a" * row.write_cap,
+                                              OracleSequence((BOS,), m.arch), LENGTH_CAP)
 
 
 def test_hacm_write_loop_hits_cap_and_filter_restores_lemma():
@@ -352,8 +367,9 @@ def stop_on_pst(name, seed):
     return m
 
 
-# one product over many rows rounds differently from one over a vector;
-# each lockstep distribution must be within this of the per-sample one
+# BLAS blocks a product by its row count, so a row of a product over many
+# rows can differ in its last bits from the same row alone; each lockstep
+# distribution must be within this of the per-sample one
 LOCKSTEP_ATOL = 1e-12
 
 
@@ -394,6 +410,32 @@ def test_lockstep_decode_matches_single_decodes(trained, name, rule_inputs):
     results = assert_lockstep_matches(models[name], queries + OOV_QUERIES + LONG_QUERIES,
                                       rule_inputs)
     assert any(r.terminated_by == END_ACTION for r in results)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_a_batch_of_one_is_bitwise_a_single_decode(trained, name, rule_inputs):
+    """greedy_decode_all of one input computes exactly what greedy_decode
+    computes: the same result from bitwise the same distributions. The
+    models are the trained one, a random one, and one that runs to
+    LENGTH_CAP; for HAEM it first deletes the whole lemma, so every write
+    step reads a masked distribution."""
+    models, queries = trained
+    capped = random_model(name, 1, loop=True)
+    if capped.arch == "HAEM":
+        capped.act_out.b.value[capped.DELETE_ID] = 60.0
+    for model in (models[name], random_model(name, 0), capped):
+        for query in queries + OOV_QUERIES + LONG_QUERIES:
+            rule_inputs.clear()
+            single = greedy_decode(model, *query)
+            want = [dist for _, dists in rule_inputs.values() for dist in dists]
+            rule_inputs.clear()
+            assert greedy_decode_all(model, [query]) == [single], query
+            got = [dist for _, dists in rule_inputs.values() for dist in dists]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert (a is None) == (b is None)
+                assert a is None or np.array_equal(a, b), query
+    assert single.terminated_by == LENGTH_CAP
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))

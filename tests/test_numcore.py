@@ -96,6 +96,21 @@ def test_masked_softmax_exact_zeros_and_normalization():
         assert abs(p.sum() - 1.0) < 1e-6
 
 
+def test_masked_softmax_of_a_vector_is_bitwise_its_one_row_matrix():
+    """A vector sums the same terms as the same vector in a one-row matrix,
+    masked zeros included, so single and lockstep decoding read bitwise
+    the same distribution."""
+    rng = random.Random(4)
+    for size in (8, 24):
+        for _ in range(250):
+            logits = rng_array(rng, size) * 10
+            valid = np.array([rng.random() < 0.6 for _ in range(size)])
+            valid[rng.sample(range(size), 2)] = (True, False)
+            p = nc.masked_softmax(nc.constant(logits), valid).value
+            one_row = nc.masked_softmax(nc.constant(logits[None]), valid[None]).value
+            assert np.array_equal(p, one_row[0])
+
+
 def test_masked_softmax_gradient():
     rng = random.Random(5)
     logits = nc.param(rng_array(rng, 6))
@@ -320,7 +335,8 @@ def test_matrix_masked_softmax_grad_check_and_zeros():
     assert np.all(p[~valid] == 0.0)
     assert np.allclose(p.sum(axis=1), 1.0)
     for r in range(3):  # each row is the vector form of the op
-        assert np.allclose(p[r], nc.masked_softmax(nc.constant(logits.value[r]), valid[r]).value)
+        vector = nc.masked_softmax(nc.constant(logits.value[r]), valid[r]).value
+        assert np.array_equal(p[r], vector)
     with pytest.raises(ValueError, match="no valid"):
         nc.masked_softmax(logits, np.array([[True] * 5, [False] * 5, [True] * 5]))
 
