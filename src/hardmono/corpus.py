@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 log = logging.getLogger(__name__)
 
@@ -125,13 +126,9 @@ class CharVocabulary:
     def __contains__(self, char: str) -> bool:
         return char in self._index
 
-    @property
+    @cached_property
     def _index(self) -> dict[str, int]:
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {c: self.NUM_SPECIALS + i for i, c in enumerate(self.chars)}
-            self.__dict__["_index_cache"] = idx
-        return idx
+        return {c: self.NUM_SPECIALS + i for i, c in enumerate(self.chars)}
 
     _SENTINEL_IDS = {BOS: BOS_ID, EOS: EOS_ID, UNK: UNK_ID}
 
@@ -170,12 +167,12 @@ class FeatureAlphabet:
     def unk_slot(self) -> int:
         return len(self.features)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {f: i for i, f in enumerate(self.features)}
+
     def slot_of(self, feature: str) -> int:
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {f: i for i, f in enumerate(self.features)}
-            self.__dict__["_index_cache"] = idx
-        slot = idx.get(feature)
+        slot = self._index.get(feature)
         if slot is None:
             if feature not in self._warned:
                 self._warned.add(feature)

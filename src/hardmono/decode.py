@@ -32,7 +32,8 @@ import numpy as np
 from hardmono import numcore as nc
 from hardmono.hacm import HacmModel
 from hardmono.haem import HaemModel
-from hardmono.oracle import HACM, Action, HacmExecutor, HaemExecutor, OracleSequence, write
+from hardmono.oracle import (BOS, EOS, HACM, STEP, Action, HacmExecutor, HaemExecutor,
+                             OracleSequence, write)
 
 END_ACTION = "END_ACTION"
 LENGTH_CAP = "LENGTH_CAP"
@@ -106,9 +107,9 @@ def greedy_decode_all(model: HacmModel | HaemModel,
         return []
     rule = _hacm_next if model.arch == HACM else _haem_action
     # HACM's decoder consumes BOS on its first step; HAEM's starts with no action
-    first = model.codec.specials[1] if model.arch == HACM else None
+    first = BOS if model.arch == HACM else None
     rows = [_Row(lemma, first) for lemma, _ in inputs]
-    last = [None if first is None else model.codec.id_of(first)] * len(inputs)
+    last = [first] * len(inputs)
     with nc.no_grad():
         exs, step = model.lockstep(inputs)
         active = list(range(len(inputs)))
@@ -123,12 +124,11 @@ def greedy_decode_all(model: HacmModel | HaemModel,
 
 
 def _hacm_next(model: HacmModel, ex: HacmExecutor, dist: np.ndarray | None,
-               row: _Row) -> int | None:
+               row: _Row) -> Action | None:
     """HACM's rules after a decoder step that left the pointer at ``ex``.
     ``dist`` is the step's distribution, None when the attended character
-    is out of vocabulary. Returns the action id the next step consumes, or
+    is out of vocabulary. Returns the action the next step consumes, or
     None once the decode has ended."""
-    codec = model.codec
     if dist is None:
         # attended character unseen in training: copy it outright and let
         # STEP stand in as the previous action
@@ -136,32 +136,29 @@ def _hacm_next(model: HacmModel, ex: HacmExecutor, dist: np.ndarray | None,
             return None
         char = ex.frame_symbol().char
         row.out += char
-        row.trace += [write(char), codec.specials[0]]
-        return codec.id_of(codec.specials[0]) if row.end_step(False) else None
-    action_id = int(np.argmax(dist))
-    action = codec.action_of(action_id)
+        row.trace += [write(char), STEP]
+        return STEP if row.end_step(False) else None
+    action = model.codec.action_of(int(np.argmax(dist)))
     if action.tag == "STEP" and ex.i == ex.n + 1:
         # the pointer cannot leave the frame; an argmax STEP here can only
         # mean the model is done
-        action = codec.specials[2]
-        action_id = codec.id_of(action)
+        action = EOS
     if action.tag == "WRITE":
         if not row.fits():
             return None
         row.out += action.char
     row.trace.append(action)
-    return action_id if row.end_step(action.tag == "EOS") else None
+    return action if row.end_step(action.tag == "EOS") else None
 
 
 def _decode_hacm(model: HacmModel, lemma: str, features: tuple[str, ...]) -> DecodeResult:
-    bos = model.codec.specials[1]
-    row = _Row(lemma, bos)
+    row = _Row(lemma, BOS)
     state = model.start(lemma, features)
-    prev = model.codec.id_of(bos)
-    while prev is not None:
-        state = model.step(state, prev)
+    action = BOS
+    while action is not None:
+        state = model.step(state, model.codec.id_of(action))
         oov = model.attended_oov(state) is not None
-        prev = _hacm_next(model, state.ex, None if oov else model.distribution(state).value, row)
+        action = _hacm_next(model, state.ex, None if oov else model.distribution(state).value, row)
     return row.result(HACM)
 
 

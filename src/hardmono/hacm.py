@@ -24,7 +24,7 @@ from hardmono import numcore as nc
 from hardmono.corpus import CharVocabulary, FeatureAlphabet
 from hardmono.nn import BiEncoder, EmbeddingTable, Linear, LstmCell, ParamSet
 from hardmono.numcore import Node
-from hardmono.oracle import HACM, ActionCodec, HacmExecutor, OracleSequence
+from hardmono.oracle import HACM, Action, ActionCodec, HacmExecutor, OracleSequence
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,8 @@ class HacmModel:
                  ) -> tuple[list[HacmExecutor], Callable]:
         """``start`` of every (lemma, features) input at once, without a
         tape: one executor per input, and ``step(rows, actions)``, which
-        ``step``s each row on its last action id (BOS first) and returns
-        the rows' next distributions, one per row, None for a row whose
+        ``step``s each row on its last action (BOS first) and returns the
+        rows' next distributions, one per row, None for a row whose
         attended character is out of vocabulary. Row r of the decoder's
         (h, c) is input r's state for the whole decode, so a step reads and
         writes only the rows it is given."""
@@ -132,16 +132,16 @@ class HacmModel:
         h, c = self.decoder._start_rows(len(inputs))
         exs = [HacmExecutor(lemma) for lemma, _ in inputs]
 
-        def step(rows: list[int], actions: list[int]) -> list[np.ndarray | None]:
-            for r, action_id in zip(rows, actions):
-                exs[r] = exs[r].apply(self.codec.action_of(action_id))
-            emb = self.act_emb(np.array(actions))
+        def step(rows: list[int], actions: list[Action]) -> list[np.ndarray | None]:
+            for r, action in zip(rows, actions):
+                exs[r] = exs[r].apply(action)
+            emb = self.act_emb(np.array([self.codec.ids[a] for a in actions]))
             attended = nc.constant(frames[first[rows] + np.array([exs[r].i for r in rows])])
             feat = nc.row(feats, rows)
             lstm = self.decoder.step(nc.concat([emb, attended, feat]),
                                      (nc.constant(h[rows]), nc.constant(c[rows])))
             h[rows], c[rows] = lstm[0].value, lstm[1].value
-            copy_ids = [self._copy_id(exs[r]) for r in rows]
+            copy_ids = [self.codec.ids.get(exs[r].frame_symbol()) for r in rows]
             # the head runs on every row; one attending an out-of-vocabulary
             # character does so on a placeholder copy id and gets no distribution
             mixture = self._mixture(attended, feat, emb, lstm[0],
@@ -164,13 +164,7 @@ class HacmModel:
     def copy_action_id(self, state: HacmState) -> int | None:
         """Action id equivalent to copying the attended frame symbol; None
         when the attended lemma character was never seen in training."""
-        return self._copy_id(state.ex)
-
-    def _copy_id(self, ex: HacmExecutor) -> int | None:
-        symbol = ex.frame_symbol()
-        if symbol.tag == "WRITE":
-            return self.codec.write_id(symbol.char)
-        return self.codec.id_of(symbol)
+        return self.codec.ids.get(state.ex.frame_symbol())
 
     def attended_oov(self, state: HacmState) -> str | None:
         """The attended character when it is out of vocabulary, else None."""
@@ -222,20 +216,16 @@ class HacmModel:
         if training and rng is None:
             raise ValueError("training mode needs a dropout generator")
         # replay: step t consumes action t-1 and predicts action t
-        prev_ids, positions, targets, copies = [], [], [], []
+        positions, targets, copies = [], [], []
         ex = HacmExecutor(lemma)
-        prev = self.codec.id_of(actions[0])
-        for action in actions[1:]:
-            ex = ex.apply(self.codec.action_of(prev))
-            target = self.codec.id_of(action)
-            copy_id = self._copy_id(ex)
-            if copy_id is None:
+        for prev, action in zip(actions, actions[1:]):
+            ex = ex.apply(prev)
+            targets.append(self.codec.id_of(action))
+            copies.append(self.codec.ids.get(ex.frame_symbol()))
+            if copies[-1] is None:
                 raise ValueError(f"attended character {ex.frame_symbol().char!r} has no action id")
-            prev_ids.append(prev)
             positions.append(ex.i)
-            targets.append(target)
-            copies.append(copy_id)
-            prev = target
+        prev_ids = [self.codec.id_of(actions[0])] + targets[:-1]
         steps = len(targets)
 
         attended = nc.row(frame, np.array(positions))

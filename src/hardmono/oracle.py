@@ -242,13 +242,12 @@ def replay_with_trace(lemma: str, seq: OracleSequence) -> tuple[str, list[int]]:
 
 class ActionCodec:
     """Dense integer ids for one inventory over a character vocabulary:
-    the three structural actions first, then WRITE_c per character.
+    ``actions`` holds every action by id, the three structural actions
+    first, then WRITE_c per character, and ``ids`` each action's id.
 
     WRITE of a character outside the vocabulary has no id; ``write_id``
     returns None for it and ``id_of`` raises.
     """
-
-    NUM_SPECIALS = 3
 
     def __init__(self, inventory: str, chars: tuple[str, ...]):
         if inventory not in (HACM, HAEM):
@@ -256,33 +255,28 @@ class ActionCodec:
         self.inventory = inventory
         self.chars = chars
         self.specials = (STEP, BOS, EOS) if inventory == HACM else (COPY, DELETE, STOP)
-        self._special_ids = {a.tag: i for i, a in enumerate(self.specials)}
-        self._char_ids = {c: self.NUM_SPECIALS + k for k, c in enumerate(chars)}
+        self.actions = self.specials + tuple(write(c) for c in chars)
+        self.ids = {a: i for i, a in enumerate(self.actions)}
 
     @property
     def size(self) -> int:
-        return self.NUM_SPECIALS + len(self.chars)
+        return len(self.actions)
 
     def write_id(self, char: str) -> int | None:
-        return self._char_ids.get(char)
+        return self.ids.get(write(char))
 
     def id_of(self, action: Action) -> int:
-        if action.tag == "WRITE":
-            aid = self._char_ids.get(action.char)
-            if aid is None:
-                raise ValueError(f"WRITE({action.char}) is outside the trained inventory")
-            return aid
-        aid = self._special_ids.get(action.tag)
+        aid = self.ids.get(action)
         if aid is None:
-            raise ValueError(f"{action.tag} is not a {self.inventory} action")
+            raise ValueError(f"WRITE({action.char}) is outside the trained inventory"
+                             if action.tag == "WRITE" else
+                             f"{action.tag} is not a {self.inventory} action")
         return aid
 
     def action_of(self, action_id: int) -> Action:
-        if 0 <= action_id < self.NUM_SPECIALS:
-            return self.specials[action_id]
-        if action_id < self.size:
-            return write(self.chars[action_id - self.NUM_SPECIALS])
-        raise IndexError(f"action id {action_id} out of range for size {self.size}")
+        if not 0 <= action_id < self.size:
+            raise IndexError(f"action id {action_id} out of range for size {self.size}")
+        return self.actions[action_id]
 
 
 def display_trace(lemma: str, seq: OracleSequence) -> list[int]:

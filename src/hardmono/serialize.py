@@ -16,7 +16,7 @@ A checkpoint is a directory with two files:
   12..19    header length L, uint64 little-endian
   20..20+L  header: UTF-8 JSON ``{"entries": [{"name", "shape"}...]}``
   rest      payload: each entry's float64 values, little-endian,
-            C order, concatenated in header order
+            C order, concatenated in header order; every value finite
   ========  =====================================================
 
 Both files are written atomically (temp file + rename).
@@ -131,8 +131,10 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
         end = offset + 8 * count
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated payload at {entry['name']!r}")
-        state[entry["name"]] = np.frombuffer(raw, dtype="<f8", count=count,
-                                             offset=offset).reshape(shape).copy()
+        value = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
+        if not np.isfinite(value).all():   # training never saves one: it stops at a non-finite loss
+            raise CheckpointError(f"{path}: tensor {entry['name']!r} holds a non-finite value")
+        state[entry["name"]] = value.copy()
         offset = end
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")

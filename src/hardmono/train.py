@@ -194,18 +194,24 @@ def train_model(arch: str, aligner: str, train: list[Sample], dev: list[Sample],
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(oracles))
         total_loss = 0.0
-        for idx in order:
-            sample, oracle = oracles[idx]
-            model.params.zero_grads()
-            loss = model.sample_loss(sample.lemma, sample.features, oracle, rng=rng)
-            value = float(loss.value)
-            if not np.isfinite(value):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch} on lemma {sample.lemma!r}"
-                )
-            nc.backward(loss)
-            optimizer.step()
-            total_loss += value
+        # a diverging run overflows before its loss turns non-finite; the
+        # loss check below reports it, not numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in order:
+                sample, oracle = oracles[idx]
+                model.params.zero_grads()
+                try:
+                    loss = model.sample_loss(sample.lemma, sample.features, oracle, rng=rng)
+                    value = float(loss.value)
+                except FloatingPointError:   # nc.log of a gold probability that underflowed to 0
+                    value = math.nan
+                if not np.isfinite(value):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch} on lemma {sample.lemma!r}"
+                    )
+                nc.backward(loss)
+                optimizer.step()
+                total_loss += value
         dev_accuracy = evaluate(model, dev)
         history.append({"epoch": epoch, "train_loss": total_loss / len(oracles),
                         "dev_accuracy": dev_accuracy})

@@ -14,7 +14,7 @@ import pytest
 
 from hardmono.cli import build_parser, main
 from hardmono.corpus import Sample, parse_dataset, write_dataset
-from hardmono.serialize import FORMAT_VERSION, MAGIC, load_checkpoint
+from hardmono.serialize import FORMAT_VERSION, MAGIC, load_checkpoint, load_params, save_params
 from hardmono.train import predict
 
 TESTS = Path(__file__).resolve().parent
@@ -134,6 +134,21 @@ def test_eval_formats(lang, tmp_path, capsys):
     assert main(["eval", "--language", "synthetic", "--format", "golden",
                  "--gold", str(lang / "test.tsv"), "--pred", str(pred)]) == 0
     assert "macro-avg" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--language", "again"], "--language, --gold, and --pred must repeat in step"),
+    ([], "short.tsv: 2 predictions for 6 gold samples"),
+], ids=["uneven-repeats", "short-predictions"])
+def test_eval_rejects_inputs_that_do_not_pair_up(lang, tmp_path, capsys, extra, message):
+    short = tmp_path / "short.tsv"
+    short.write_text("a\tb\tV\nc\td\tV\n")
+    out = tmp_path / "eval.txt"
+    assert main(["eval", "--language", "synthetic", "--gold", str(lang / "test.tsv"),
+                 "--pred", str(short), "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_ensemble_run2(lang, checkpoints, tmp_path, capsys):
@@ -299,11 +314,15 @@ def test_exit_codes(lang, tmp_path, capsys):
     assert main(["--help"]) == 0
     assert main(["eval", "--language", "a", "--gold", "x"]) == 1  # missing --pred
     capsys.readouterr()
-    assert main(["train", "--arch", "HACM", "--train", str(lang / "train.tsv"),
-                 "--dev", str(lang / "dev.tsv"), "--out", str(tmp_path / "m"),
-                 "--hidden", "8", "--embed", "8", "--feat-embed", "4", "--epochs", "2",
-                 "--lr", "1e300"]) == 3
-    assert capsys.readouterr().err.startswith("error: non-finite loss at epoch")
+    # a diverging run, whether its loss overflows or its gold probability
+    # underflows to 0, reports one line and nothing from numpy
+    for arch, lr in (("HACM", "1e300"), ("HACM", "100"), ("HAEM", "1e300")):
+        assert main(["train", "--arch", arch, "--train", str(lang / "train.tsv"),
+                     "--dev", str(lang / "dev.tsv"), "--out", str(tmp_path / "m"),
+                     "--hidden", "8", "--embed", "8", "--feat-embed", "4", "--epochs", "2",
+                     "--lr", lr]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: non-finite loss at epoch \d+ on lemma '\w+'\n", err), err
 
 
 def test_train_bad_hyperparameters_are_usage_errors(lang):
@@ -435,6 +454,15 @@ def _write_header(header: bytes):
     return corrupt
 
 
+def _set_weight(name: str, value: float):
+    """One value of the named tensor replaced, the file otherwise intact."""
+    def corrupt(ckpt):
+        state = load_params(ckpt / "params.bin")
+        state[name].flat[0] = value
+        save_params(ckpt / "params.bin", state)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
     _edit_manifest(lambda m: m.pop("hidden")),
     _edit_manifest(lambda m: m.pop("arch")),
@@ -450,25 +478,38 @@ def _write_header(header: bytes):
     _write_header(b'{"entries": [{"name": "w"}]}'),
     _write_header(b'{"entries": [{"name": "w", "shape": [2.5]}]}'),
     _write_header(b"not json"),
+    lambda ckpt: (ckpt / "params.bin").write_bytes(
+        MAGIC + struct.pack("<IQ", FORMAT_VERSION, 99) + b"{}"),
     lambda ckpt: (ckpt / "params.bin").write_bytes(MAGIC + b"\x01"),
     _repeat_first_entry,
+    _set_weight("dec.w", math.nan),
+    _set_weight("gen.b", math.inf),
 ], ids=["no-hidden", "no-arch", "hidden-str", "hidden-zero", "chars-int", "chars-multi",
         "chars-empty", "seed-str", "not-object", "bad-json", "no-entries", "no-shape",
-        "float-shape", "header-json", "short-params", "repeated-name"])
+        "float-shape", "header-json", "header-past-end", "short-params", "repeated-name",
+        "nan-weight", "inf-weight"])
 def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys, corrupt):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoints / "HACM_smart", ckpt)
     corrupt(ckpt)
-    assert main(["predict", "--model", str(ckpt), "--input", str(lang / "test.tsv")]) == 2
+    out = tmp_path / "pred.tsv"
+    assert main(["predict", "--model", str(ckpt), "--input", str(lang / "test.tsv"),
+                 "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("accuracy", [math.nan, 7.5, -0.1], ids=["nan", "7.5", "negative"])
+@pytest.mark.parametrize("accuracy, message", [
+    (math.nan, "outside [0, 1]"),
+    (7.5, "outside [0, 1]"),
+    (-0.1, "outside [0, 1]"),
+    (None, "has no recorded dev accuracy"),
+], ids=["nan", "7.5", "negative", "null"])
 def test_ensemble_rejects_a_pool_dev_accuracy_outside_0_1(lang, checkpoints, tmp_path, capsys,
-                                                          accuracy):
+                                                          accuracy, message):
     """A manifest's dev accuracy ranks its voter, so a value that is no
-    accuracy fails like a bad --external-dev-acc, before anything is
-    written."""
+    accuracy, or none at all, fails like a bad --external-dev-acc, before
+    anything is written."""
     bad = tmp_path / "HAEM_smart"
     shutil.copytree(checkpoints / "HAEM_smart", bad)
     _edit_manifest(lambda m: m.update(dev_accuracy=accuracy))(bad)
@@ -479,7 +520,7 @@ def test_ensemble_rejects_a_pool_dev_accuracy_outside_0_1(lang, checkpoints, tmp
                      "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "dev accuracy" in err and "outside [0, 1]" in err
+        assert err.startswith("error:") and "dev accuracy" in err and message in err
         assert "Traceback" not in err
         assert not out.exists()
 

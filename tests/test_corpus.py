@@ -39,6 +39,12 @@ def test_parse_errors_carry_location(tmp_path):
     p.write_text("good\tgood\tV\nfog\t\tV;PST\n")
     with pytest.raises(DataError, match=r"bad\.tsv:2: empty form$"):
         parse_dataset(p)
+    p.write_text("good\tgood\tV\n\tfog\tV\n")
+    with pytest.raises(DataError, match=r"bad\.tsv:2: empty lemma$"):
+        parse_dataset(p)
+    p.write_text("good\tgood\tV\nfog\tfogs\t;\n")
+    with pytest.raises(DataError, match=r"bad\.tsv:2: empty feature set$"):
+        parse_dataset(p)
 
 
 def test_parse_rejects_wrong_arity(tmp_path):

@@ -10,7 +10,10 @@ from hardmono.oracle import (
     EOS,
     STEP,
     STOP,
+    HACM,
+    HAEM,
     Action,
+    ActionCodec,
     HacmExecutor,
     HaemExecutor,
     OracleSequence,
@@ -223,3 +226,24 @@ def test_render_round_trip_text():
     assert seq.render() == "BOS STEP f STEP l STEP o STEP STEP g STEP STEP STEP EOS"
     seq = haem_oracle(smart_align("fliegen", "flog"))
     assert seq.render() == "COPY COPY DELETE DELETE o COPY DELETE DELETE STOP"
+
+
+@pytest.mark.parametrize("inventory", [HACM, HAEM])
+def test_action_codec_is_one_table(inventory):
+    """Every id names one action and every action its id; the codec hands
+    out the same WRITE object for an id each time instead of building one."""
+    codec = ActionCodec(inventory, ("a", "b"))
+    assert codec.size == len(codec.actions) == 5
+    assert codec.actions[:3] == codec.specials
+    for k in range(codec.size):
+        assert codec.id_of(codec.action_of(k)) == k
+    assert codec.action_of(3) is codec.action_of(3) == write("a")
+    assert codec.write_id("b") == 4 and codec.write_id("z") is None
+    with pytest.raises(ValueError, match=r"WRITE\(z\) is outside the trained inventory"):
+        codec.id_of(write("z"))
+    other = STEP if inventory == HAEM else COPY
+    with pytest.raises(ValueError, match=f"{other.tag} is not a {inventory} action"):
+        codec.id_of(other)
+    for bad in (-1, 5):
+        with pytest.raises(IndexError, match=f"action id {bad} out of range for size 5"):
+            codec.action_of(bad)

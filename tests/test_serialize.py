@@ -11,6 +11,7 @@ from hardmono.haem import HaemModel
 from hardmono.serialize import (
     MAGIC,
     CheckpointError,
+    _atomic_write,
     build_manifest,
     load_checkpoint,
     load_params,
@@ -78,6 +79,16 @@ def test_params_reject_truncation_and_trailing(tmp_path):
         load_params(path)
     path.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(CheckpointError, match="trailing"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_a_non_finite_value_naming_file_and_tensor(tmp_path, value):
+    path = tmp_path / "p.bin"
+    bad = np.zeros((2, 3))
+    bad[1, 2] = value
+    save_params(path, {"fine": np.zeros(2), "bad": bad})
+    with pytest.raises(CheckpointError, match=rf"p\.bin: tensor 'bad' holds a non-finite value"):
         load_params(path)
 
 
@@ -151,6 +162,14 @@ def test_no_temp_files_left(tmp_path):
     save_checkpoint(tmp_path / "ckpt", model, "smart")
     names = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
     assert names == ["manifest.json", "params.bin"]
+
+
+def test_a_failed_atomic_write_leaves_no_temp_file(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        _atomic_write(tmp_path / "taken", b"data")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert not any((tmp_path / "taken").iterdir())
 
 
 def test_params_file_starts_with_magic(tmp_path):
