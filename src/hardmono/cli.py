@@ -128,10 +128,9 @@ def _model_config(args) -> ModelConfig:
                        feat_embed=args.feat_embed, variant=args.variant)
 
 
-def _train_config(args, seed: int | None = None) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     return TrainConfig(epochs=args.epochs, patience=args.patience, lr=args.lr,
-                       dropout=args.dropout,
-                       seed=args.seed if seed is None else seed)
+                       dropout=args.dropout, seed=args.seed)
 
 
 def _save_history(directory: str | Path, history: list[dict]) -> None:
@@ -142,8 +141,9 @@ def _save_history(directory: str | Path, history: list[dict]) -> None:
 def cmd_train(args) -> int:
     train = _samples(args.train)
     dev = _samples(args.dev)
-    result = train_model(args.arch, args.aligner, train, dev,
-                         _model_config(args), _train_config(args))
+    model_config, train_config = _model_config(args), _train_config(args)
+    Path(args.out).mkdir(parents=True, exist_ok=True)   # an unusable --out fails before training
+    result = train_model(args.arch, args.aligner, train, dev, model_config, train_config)
     save_checkpoint(args.out, result.model, args.aligner,
                     dev_accuracy=result.dev_accuracy, seed=args.seed)
     _save_history(args.out, result.history)

@@ -14,10 +14,6 @@ from functools import cached_property
 
 log = logging.getLogger(__name__)
 
-BOS = "<s>"
-EOS = "</s>"
-UNK = "<unk>"
-
 
 class DataError(ValueError):
     """Malformed input data (bad column count, empty lemma, ...)."""
@@ -116,7 +112,7 @@ class CharVocabulary:
     def __post_init__(self) -> None:
         if len(set(self.chars)) != len(self.chars):
             raise ValueError("duplicate characters in vocabulary")
-        for char in self.chars:   # every sentinel is longer, so none can collide
+        for char in self.chars:
             if len(char) != 1:
                 raise ValueError(f"vocabulary entry {char!r} is not one character")
 
@@ -130,13 +126,8 @@ class CharVocabulary:
     def _index(self) -> dict[str, int]:
         return {c: self.NUM_SPECIALS + i for i, c in enumerate(self.chars)}
 
-    _SENTINEL_IDS = {BOS: BOS_ID, EOS: EOS_ID, UNK: UNK_ID}
-
     def id_of(self, char: str) -> int:
-        """Id for a character or sentinel; OOV maps to UNK_ID, not an error."""
-        sid = self._SENTINEL_IDS.get(char)
-        if sid is not None:
-            return sid
+        """Id for a character; OOV maps to UNK_ID, not an error."""
         return self._index.get(char, self.UNK_ID)
 
 

@@ -92,8 +92,6 @@ class _Row:
 def greedy_decode(model: HacmModel | HaemModel, lemma: str,
                   features: tuple[str, ...]) -> DecodeResult:
     """Decode without a tape: nothing differentiates the result."""
-    if not lemma:
-        raise ValueError("empty lemma")
     with nc.no_grad():
         if model.arch == HACM:
             return _decode_hacm(model, lemma, features)
@@ -189,12 +187,12 @@ def _decode_haem(model: HaemModel, lemma: str, features: tuple[str, ...]) -> Dec
     return row.result(model.arch)
 
 
-def has_runaway_repeat(text: str, threshold: int = MAX_RUN_LENGTH) -> bool:
+def has_runaway_repeat(text: str) -> bool:
     run_char, run_len = "", 0
     for ch in text:
         run_len = run_len + 1 if ch == run_char else 1
         run_char = ch
-        if run_len >= threshold:
+        if run_len >= MAX_RUN_LENGTH:
             return True
     return False
 

@@ -124,9 +124,6 @@ class LstmCell:
     def step(self, x: Node, state: tuple[Node, Node]) -> tuple[Node, Node]:
         """The next (h, c) pair; start from (h0, c0). With one input per row
         of ``x`` and one state per row of h and c, every row steps at once."""
-        if x.value.ndim not in (1, 2) or x.value.shape[-1] != self.input_size:
-            raise ValueError(f"lstm step: input shape {x.value.shape} vs expected "
-                             f"({self.input_size},) or (rows, {self.input_size})")
         return nc.lstm_step(x, self.w, self.b, *state)
 
     def sequence(self, x: Node) -> Node:

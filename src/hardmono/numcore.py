@@ -28,7 +28,6 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-_FINITE_CHECKS = False
 _NO_GRAD = False
 
 
@@ -43,19 +42,6 @@ def no_grad():
         yield
     finally:
         _NO_GRAD = prev
-
-
-@contextlib.contextmanager
-def finite_checks(enabled: bool = True):
-    """NaN/Inf detection on every op result inside the block (off by default;
-    the check costs about as much as the op itself on small tensors)."""
-    global _FINITE_CHECKS
-    prev = _FINITE_CHECKS
-    _FINITE_CHECKS = enabled
-    try:
-        yield
-    finally:
-        _FINITE_CHECKS = prev
 
 
 class GradError(RuntimeError):
@@ -75,8 +61,6 @@ class Node:
         name: str = "",
     ):
         self.value = np.asarray(value, dtype=np.float64)
-        if _FINITE_CHECKS and not np.all(np.isfinite(self.value)):
-            raise FloatingPointError(f"non-finite value in node {name or '(anonymous)'}")
         self._grad: np.ndarray | None = None
         self._parents = parents
         self._backprop: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
@@ -118,9 +102,9 @@ def param(value, name: str = "") -> Node:
     return Node(np.array(value, dtype=np.float64), requires_grad=True, name=name)
 
 
-def constant(value, name: str = "") -> Node:
+def constant(value) -> Node:
     """Non-trainable leaf; backward never propagates into it."""
-    return Node(value, requires_grad=False, name=name)
+    return Node(value)
 
 
 def _op(name: str, value, parents: tuple[Node, ...],

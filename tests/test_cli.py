@@ -47,6 +47,17 @@ def checkpoints(tmp_path_factory, lang):
     return root
 
 
+@pytest.fixture(scope="module")
+def prefix_lang(tmp_path_factory):
+    """A language with a prefix rule, on whose prefixed samples the smart
+    and the naive aligner disagree."""
+    root = tmp_path_factory.mktemp("prefix")
+    assert main(["synth", "--out", str(root), "--seed", "3",
+                 "--rule", "V;PTCP=prefix:ge", "--rule", "V;PRS=suffix:t",
+                 "--train-size", "12", "--dev-size", "6", "--test-size", "6"]) == 0
+    return root
+
+
 def test_synth_files_parse(lang):
     assert len(parse_dataset(str(lang / "train.tsv"))) == 12
     assert len(parse_dataset(str(lang / "dev.tsv"))) == 6
@@ -325,6 +336,29 @@ def test_exit_codes(lang, tmp_path, capsys):
         assert re.fullmatch(r"error: non-finite loss at epoch \d+ on lemma '\w+'\n", err), err
 
 
+def test_train_rejects_an_unusable_out_before_training(lang, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "notadir"
+    out.write_text("")
+    monkeypatch.setattr("hardmono.cli.train_model", lambda *a, **k: pytest.fail("work began"))
+    assert main(["train", "--arch", "HACM", "--train", str(lang / "train.tsv"),
+                 "--dev", str(lang / "dev.tsv"), "--out", str(out), *TINY]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
+
+
+@pytest.mark.parametrize("arch", ["HACM", "HAEM"])
+def test_train_trains_with_the_aligner_it_is_given(prefix_lang, tmp_path, arch):
+    params = {}
+    for aligner in ("naive", "smart"):
+        out = tmp_path / aligner
+        assert main(["train", "--arch", arch, "--aligner", aligner,
+                     "--train", str(prefix_lang / "train.tsv"),
+                     "--dev", str(prefix_lang / "dev.tsv"),
+                     "--out", str(out), "--seed", "1", *TINY]) == 0
+        params[aligner] = (out / "params.bin").read_bytes()
+    assert params["naive"] != params["smart"]
+
+
 def test_train_bad_hyperparameters_are_usage_errors(lang):
     assert main(["train", "--arch", "HACM", "--train", str(lang / "train.tsv"),
                  "--dev", str(lang / "dev.tsv"), "--out", "unused",
@@ -377,6 +411,23 @@ def test_run_end_to_end_deterministic(tmp_path, capsys):
     assert report["system"] == "ENSEMBLE_7(HACM)"
     assert len(report["models"]) == 2
     assert "test_accuracy" in report
+
+
+def test_run_on_files_with_an_unlabeled_test_set(lang, tmp_path, capsys):
+    test = parse_dataset(str(lang / "test.tsv"))
+    bare = tmp_path / "bare.tsv"
+    write_dataset(str(bare), test, has_form=False)
+    out = tmp_path / "r"
+    assert main(["run", "--train", str(lang / "train.tsv"), "--dev", str(lang / "dev.tsv"),
+                 "--test", str(bare), "--no-form", "--out", str(out), "--run", "2",
+                 "--hacm-smart", "1", "--hacm-naive", "1", "--haem-smart", "0",
+                 "--haem-naive", "0", *TINY]) == 0
+    text = (out / "predictions.tsv").read_text(encoding="utf-8")
+    rows = [line.split("\t") for line in text.splitlines()]
+    assert [(r[0], r[2]) for r in rows] == [(s.lemma, ";".join(s.features)) for s in test]
+    report = json.loads((out / "report.json").read_text())
+    assert "test_accuracy" not in report and "test_levenshtein" not in report
+    assert not (out / "report.tsv").exists()
 
 
 def test_run_empty_pool(tmp_path, capsys):

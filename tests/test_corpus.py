@@ -3,9 +3,6 @@ import logging
 import pytest
 
 from hardmono.corpus import (
-    BOS,
-    EOS,
-    UNK,
     CharVocabulary,
     DataError,
     FeatureAlphabet,
@@ -78,7 +75,7 @@ def test_sample_validation():
 
 def test_char_vocabulary_layout():
     v = CharVocabulary(("a", "b", "c"))
-    assert v.id_of(BOS) == 0 and v.id_of(EOS) == 1 and v.id_of(UNK) == 2
+    assert (v.BOS_ID, v.EOS_ID, v.UNK_ID) == (0, 1, 2)
     assert [v.id_of(c) for c in "abc"] == [3, 4, 5]
     assert len(v) == 6
 

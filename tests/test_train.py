@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from hardmono import numcore as nc
-from hardmono.align import smart_align
+from hardmono.align import naive_align, smart_align
 from hardmono.corpus import Sample, build_vocab
 from hardmono.hacm import HacmModel, ModelConfig
 from hardmono.haem import HaemModel
 from hardmono.oracle import hacm_oracle, haem_oracle
+from hardmono.synth import SynthConfig, generate, parse_rule
 from hardmono.train import (
     BETA1,
     BETA2,
@@ -190,6 +191,21 @@ def test_same_seed_same_weights():
     for name in sa:
         assert np.array_equal(sa[name], sb[name])
     assert a.history == b.history
+
+
+# on the prefixed samples the naive aligner, which aligns position by
+# position, disagrees with the smart one
+PREFIX_LANGUAGE = SynthConfig(rules=(parse_rule("V;PTCP=prefix:ge"), parse_rule("V;PRS=suffix:t")),
+                              train=12, dev=6, test=0, seed=3)
+
+
+@pytest.mark.parametrize("arch", ["HACM", "HAEM"])
+def test_the_aligner_reaches_training(arch):
+    train, dev, _ = generate(PREFIX_LANGUAGE)
+    assert any(smart_align(s.lemma, s.form) != naive_align(s.lemma, s.form) for s in train)
+    naive, smart = (train_model(arch, aligner, train, dev, SIZES, FAST).model.params.state_dict()
+                    for aligner in ("naive", "smart"))
+    assert any(not np.array_equal(naive[name], smart[name]) for name in naive)
 
 
 def test_frozen_model_stops_after_two_epochs():
