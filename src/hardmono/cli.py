@@ -3,8 +3,8 @@ synth, and an end-to-end run command.
 
 Every command accepts ``--config FILE`` pointing at a flat ``key = value``
 file whose keys are long flag names (``aligner = smart``); explicit flags
-override file values.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 training or numeric error.
+override file values.  Exit codes: 0 success, 1 usage error (or a model
+too large for memory), 2 data error, 3 training or numeric error.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ from hardmono.ensemble import EnsembleError, Member, PoolEntry, require_run_cell
 from hardmono.hacm import ModelConfig
 from hardmono.metrics import macro_report, render_table, render_tsv, score
 from hardmono.numcore import GradError
-from hardmono.oracle import HACM, HAEM, ReplayError, display_trace, hacm_oracle, haem_oracle
+from hardmono.oracle import HACM, HAEM, ORACLES, ReplayError, display_trace
 from hardmono.serialize import CheckpointError, _atomic_write, load_checkpoint, save_checkpoint
 from hardmono.synth import DEFAULT_PATTERN, SynthConfig, SynthError, parse_rule, write_language
 from hardmono.train import (
     SETTINGS,
     TrainConfig,
     TrainingError,
+    TrainResult,
     population_counts,
     predict,  # see the note above the decode import
     predict_all,
@@ -110,7 +111,7 @@ def cmd_align(args) -> int:
 def cmd_oracle(args) -> int:
     samples = _samples(args.data)
     align = ALIGNERS[args.aligner]
-    derive = hacm_oracle if args.arch == HACM else haem_oracle
+    derive = ORACLES[args.arch]
     lines = []
     for s in samples:
         seq = derive(align(s.lemma, s.form))
@@ -133,9 +134,12 @@ def _train_config(args) -> TrainConfig:
                        dropout=args.dropout, seed=args.seed)
 
 
-def _save_history(directory: str | Path, history: list[dict]) -> None:
+def _save_trained(directory: str | Path, result: TrainResult) -> None:
+    """The checkpoint of a trained model, and its per-epoch history."""
+    save_checkpoint(directory, result.model, result.aligner,
+                    dev_accuracy=result.dev_accuracy, seed=result.seed)
     _write_text(Path(directory) / "history.jsonl",
-                "".join(json.dumps(h, sort_keys=True) + "\n" for h in history))
+                "".join(json.dumps(h, sort_keys=True) + "\n" for h in result.history))
 
 
 def cmd_train(args) -> int:
@@ -144,9 +148,7 @@ def cmd_train(args) -> int:
     model_config, train_config = _model_config(args), _train_config(args)
     Path(args.out).mkdir(parents=True, exist_ok=True)   # an unusable --out fails before training
     result = train_model(args.arch, args.aligner, train, dev, model_config, train_config)
-    save_checkpoint(args.out, result.model, args.aligner,
-                    dev_accuracy=result.dev_accuracy, seed=args.seed)
-    _save_history(args.out, result.history)
+    _save_trained(args.out, result)
     print(f"{args.arch}/{args.aligner} seed={args.seed} "
           f"epochs={len(result.history)} dev_accuracy={result.dev_accuracy:.4f}")
     return 0
@@ -300,10 +302,7 @@ def cmd_run(args) -> int:
     models_dir = out / "models"
     for result in results:
         name = f"{result.arch.lower()}_{result.aligner}_s{result.seed}"
-        directory = models_dir / name
-        save_checkpoint(directory, result.model, result.aligner,
-                        dev_accuracy=result.dev_accuracy, seed=result.seed)
-        _save_history(directory, result.history)
+        _save_trained(models_dir / name, result)
         pool.append(PoolEntry(name, result.model, result.aligner, result.dev_accuracy))
 
     run = run_strategy(args.run, pool, dev, test)
@@ -539,6 +538,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:   # sizes too large for this machine
+        print(f"error: out of memory ({e})", file=sys.stderr)
         return 1
     except (TrainingError, GradError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -36,8 +36,8 @@ class Sample:
             raise DataError("empty lemma")
         if not self.features:
             raise DataError("empty feature set")
-        if self.form == "":
-            raise DataError("empty form (use None for unlabeled samples)")
+        if self.form == "":   # an unlabeled sample has form None
+            raise DataError("empty form")
 
 
 def open_text(path: str) -> io.TextIOWrapper:
@@ -69,16 +69,12 @@ def parse_dataset(path: str, has_form: bool = True) -> list[Sample]:
                 raise DataError(
                     f"{path}:{lineno}: expected {expected} tab-separated columns, got {len(cols)}"
                 )
-            lemma = cols[0]
-            if not lemma:
-                raise DataError(f"{path}:{lineno}: empty lemma")
-            feats = tuple(t for t in cols[-1].split(";") if t)
-            if not feats:
-                raise DataError(f"{path}:{lineno}: empty feature set")
-            form = cols[1] if has_form else None
-            if form == "":
-                raise DataError(f"{path}:{lineno}: empty form")
-            samples.append(Sample(lemma=lemma, features=feats, form=form))
+            try:
+                samples.append(Sample(lemma=cols[0],
+                                      features=tuple(t for t in cols[-1].split(";") if t),
+                                      form=cols[1] if has_form else None))
+            except DataError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from None
     return samples
 
 
@@ -146,9 +142,6 @@ class FeatureAlphabet:
     def __post_init__(self) -> None:
         if list(self.features) != sorted(set(self.features)):
             raise ValueError("feature alphabet must be sorted and duplicate-free")
-
-    def __len__(self) -> int:
-        return len(self.features)
 
     @property
     def num_slots(self) -> int:

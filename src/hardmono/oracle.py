@@ -199,6 +199,9 @@ def haem_oracle(alignment: Alignment) -> OracleSequence:
     return normalize(OracleSequence(tuple(actions), HAEM))
 
 
+ORACLES = {HACM: hacm_oracle, HAEM: haem_oracle}
+
+
 def normalize(seq: OracleSequence) -> OracleSequence:
     """Within each maximal run of only DELETE/WRITE actions, move all
     DELETEs before all WRITEs, keeping the WRITEs' relative order."""

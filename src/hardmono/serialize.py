@@ -24,6 +24,7 @@ Both files are written atomically (temp file + rename).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -72,6 +73,22 @@ def _check_manifest(manifest) -> dict:
     return manifest
 
 
+def _check_sizes(path: Path, manifest: dict, state: dict[str, np.ndarray]) -> None:
+    """Raise unless the tensors that bound every other one a model builds
+    have the shapes the manifest's sizes give, so that a manifest whose
+    sizes are wrong allocates nothing."""
+    expected = {"char_emb": (CharVocabulary.NUM_SPECIALS + len(manifest["chars"]),
+                             manifest["embed"]),
+                "enc.fwd.h0": (manifest["hidden"],)}
+    if manifest["arch"] == HACM:
+        expected["feat_emb"] = (len(manifest["features"]) + 1, manifest["feat_embed"])
+    for name, shape in expected.items():
+        found = state[name].shape if name in state else None
+        if found != shape:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {found}, "
+                                  f"the manifest's sizes give {shape}")
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
@@ -113,7 +130,7 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
         raise CheckpointError(f"{path}: header length {header_len} runs past the end")
     try:
         header = json.loads(raw[20:offset].decode("utf-8"))
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:   # RecursionError: nested past the limit
         raise CheckpointError(f"{path}: unreadable header ({e})") from None
     entries = header.get("entries") if isinstance(header, dict) else None
     if not isinstance(entries, list):
@@ -143,16 +160,11 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
 
 def build_manifest(model: HacmModel | HaemModel, aligner: str,
                    dev_accuracy: float | None = None, seed: int | None = None) -> dict:
-    cfg = model.config
     return {
         "format": FORMAT_VERSION,
         "arch": model.arch,
         "aligner": aligner,
-        "variant": cfg.variant,
-        "hidden": cfg.hidden,
-        "embed": cfg.embed,
-        "feat_embed": cfg.feat_embed,
-        "dropout": cfg.dropout,
+        **dataclasses.asdict(model.config),
         "chars": list(model.vocab.chars),
         "features": list(model.feats.features),
         "dev_accuracy": dev_accuracy,
@@ -163,9 +175,7 @@ def build_manifest(model: HacmModel | HaemModel, aligner: str,
 def build_model(manifest: dict) -> HacmModel | HaemModel:
     """Model object matching a manifest, with freshly initialized weights
     (callers load the parameter file on top)."""
-    config = ModelConfig(hidden=manifest["hidden"], embed=manifest["embed"],
-                         feat_embed=manifest["feat_embed"], variant=manifest["variant"],
-                         dropout=manifest["dropout"])
+    config = ModelConfig(**{f.name: manifest[f.name] for f in dataclasses.fields(ModelConfig)})
     vocab = CharVocabulary(tuple(manifest["chars"]))
     feats = FeatureAlphabet(tuple(manifest["features"]))
     arch = manifest["arch"]
@@ -193,11 +203,15 @@ def load_checkpoint(directory: str | Path) -> tuple[HacmModel | HaemModel, dict]
         raise CheckpointError(f"{directory}: no {MANIFEST_NAME}")
     try:
         manifest = _check_manifest(json.loads(manifest_path.read_text(encoding="utf-8")))
-        model = build_model(manifest)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:   # RecursionError: nested past the limit
         raise CheckpointError(f"{manifest_path}: {e}") from None
     params_path = directory / PARAMS_NAME
     state = load_params(params_path)
+    _check_sizes(params_path, manifest, state)
+    try:
+        model = build_model(manifest)
+    except ValueError as e:
+        raise CheckpointError(f"{manifest_path}: {e}") from None
     try:
         model.params.load_state_dict(state)
     except ValueError as e:

@@ -30,7 +30,7 @@ from hardmono.hacm import HacmModel, ModelConfig
 from hardmono.haem import HaemModel
 from hardmono.metrics import accuracy
 from hardmono.numcore import Node
-from hardmono.oracle import HACM, HAEM, hacm_oracle, haem_oracle
+from hardmono.oracle import HACM, HAEM, ORACLES
 
 log = logging.getLogger(__name__)
 
@@ -154,16 +154,12 @@ class TrainResult:
     history: list[dict] = field(repr=False)
 
 
-def _oracle_fn(arch: str):
-    return hacm_oracle if arch == HACM else haem_oracle
-
-
 def train_model(arch: str, aligner: str, train: list[Sample], dev: list[Sample],
                 sizes: ModelConfig, config: TrainConfig) -> TrainResult:
     """Train one model; returns it holding the best-dev-accuracy weights.
     The model trains with ``config.dropout``, which replaces
     ``sizes.dropout``."""
-    if arch not in (HACM, HAEM):
+    if arch not in ORACLES:
         raise ValueError(f"unknown architecture {arch!r}")
     if aligner not in ALIGNERS:
         raise ValueError(f"unknown aligner {aligner!r} (have {sorted(ALIGNERS)})")
@@ -177,7 +173,7 @@ def train_model(arch: str, aligner: str, train: list[Sample], dev: list[Sample],
         raise TrainingError("dev set has unlabeled samples")
 
     align = ALIGNERS[aligner]
-    derive = _oracle_fn(arch)
+    derive = ORACLES[arch]
     oracles = [(s, derive(align(s.lemma, s.form))) for s in train]
 
     vocab, feats = build_vocab(train)

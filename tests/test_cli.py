@@ -346,6 +346,22 @@ def test_train_rejects_an_unusable_out_before_training(lang, tmp_path, capsys, m
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
 
 
+def test_a_model_too_large_for_memory_is_a_usage_error(lang, tmp_path, capsys, monkeypatch):
+    """``--hidden 1000000`` asks numpy for about 29 TiB; its MemoryError is
+    one error line and exit 1, like any other bad size. The test raises it
+    without allocating."""
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array with shape "
+                          "(4000000, 1000100) and data type float64")
+
+    monkeypatch.setattr("hardmono.cli.train_model", too_large)
+    assert main(["train", "--arch", "HACM", "--train", str(lang / "train.tsv"),
+                 "--dev", str(lang / "dev.tsv"), "--out", str(tmp_path / "m"),
+                 "--hidden", "1000000"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
+
+
 @pytest.mark.parametrize("arch", ["HACM", "HAEM"])
 def test_train_trains_with_the_aligner_it_is_given(prefix_lang, tmp_path, arch):
     params = {}
@@ -535,10 +551,13 @@ def _set_weight(name: str, value: float):
     _repeat_first_entry,
     _set_weight("dec.w", math.nan),
     _set_weight("gen.b", math.inf),
+    # nested past Python's recursion limit, which json's decoder raises on
+    lambda ckpt: (ckpt / "manifest.json").write_text("[" * 100_000),
+    _write_header(b"[" * 100_000),
 ], ids=["no-hidden", "no-arch", "hidden-str", "hidden-zero", "chars-int", "chars-multi",
         "chars-empty", "seed-str", "not-object", "bad-json", "no-entries", "no-shape",
         "float-shape", "header-json", "header-past-end", "short-params", "repeated-name",
-        "nan-weight", "inf-weight"])
+        "nan-weight", "inf-weight", "nested-manifest", "nested-header"])
 def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys, corrupt):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoints / "HACM_smart", ckpt)
@@ -548,6 +567,32 @@ def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys,
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("arch, edit, tensor", [
+    ("HACM", {"hidden": 1_000_000}, "enc.fwd.h0"),
+    ("HAEM", {"hidden": 1_000_000}, "enc.fwd.h0"),
+    ("HACM", {"embed": 1_000_000}, "char_emb"),
+    ("HAEM", {"embed": 1_000_000}, "char_emb"),
+    ("HAEM", {"chars": ["\u2603"] * 1000}, "char_emb"),
+    ("HACM", {"feat_embed": 1_000_000}, "feat_emb"),
+    ("HACM", {"features": [f"F{i:04d}" for i in range(1000)]}, "feat_emb"),
+], ids=["hacm-hidden", "haem-hidden", "hacm-embed", "haem-embed", "haem-chars",
+        "hacm-feat-embed", "hacm-features"])
+def test_predict_checks_manifest_sizes_against_params_before_building(
+        lang, checkpoints, tmp_path, capsys, monkeypatch, arch, edit, tensor):
+    """Sizes in a manifest that its params.bin does not hold are a bad
+    checkpoint, found before any model is built: a hidden size of a million
+    would ask for tens of terabytes."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(checkpoints / f"{arch}_smart", ckpt)
+    _edit_manifest(lambda m: m.update(edit))(ckpt)
+    monkeypatch.setattr("hardmono.serialize.build_model",
+                        lambda *a, **k: pytest.fail("a model was built"))
+    assert main(["predict", "--model", str(ckpt), "--input", str(lang / "test.tsv")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "params.bin" in lines[0] and repr(tensor) in lines[0]
 
 
 @pytest.mark.parametrize("accuracy, message", [

@@ -201,9 +201,10 @@ def test_untrained_models_always_terminate():
             assert len(r.prediction) <= len("fliegen") + MAX_EXTRA_CHARS
 
 
-def test_empty_lemma_rejected():
+@pytest.mark.parametrize("arch", ["HACM", "HAEM"])
+def test_empty_lemma_rejected(arch):
     with pytest.raises(ValueError, match="empty"):
-        greedy_decode(build("HAEM"), "", ("V",))
+        greedy_decode(build(arch), "", ("V",))
 
 
 # --- the runaway filter ---
@@ -550,8 +551,9 @@ def test_lockstep_decode_writes_into_no_parameter_or_start_state(trained, name):
         assert _digest(start_states()) == starts, size
 
 
-def test_lockstep_decode_of_nothing_and_of_an_empty_lemma():
-    model = build("HAEM")
+@pytest.mark.parametrize("arch", ["HACM", "HAEM"])
+def test_lockstep_decode_of_nothing_and_of_an_empty_lemma(arch):
+    model = build(arch)
     assert greedy_decode_all(model, []) == []
     with pytest.raises(ValueError, match="empty"):
         greedy_decode_all(model, [("fog", ("V",)), ("", ("V",))])
