@@ -75,14 +75,14 @@ class HacmModel:
         h, e, f = config.hidden, config.embed, config.feat_embed
         self.feat_width = f * feats.num_slots
 
-        ps = ParamSet()
-        self.char_emb = EmbeddingTable(ps, "char_emb", len(vocab), e, rng)
-        self.act_emb = EmbeddingTable(ps, "act_emb", self.codec.size, e, rng)
-        self.feat_emb = EmbeddingTable(ps, "feat_emb", feats.num_slots, f, rng)
-        self.encoder = BiEncoder(ps, "enc", e, h, rng)
-        self.decoder = LstmCell(ps, "dec", e + 2 * h + self.feat_width, h, rng)
-        self.gen = Linear(ps, "gen", h, self.codec.size, rng)
-        self.gate = Linear(ps, "gate", 2 * h + self.feat_width + e + h, 1, rng)
+        ps = ParamSet(rng)
+        self.char_emb = EmbeddingTable(ps, "char_emb", len(vocab), e)
+        self.act_emb = EmbeddingTable(ps, "act_emb", self.codec.size, e)
+        self.feat_emb = EmbeddingTable(ps, "feat_emb", feats.num_slots, f)
+        self.encoder = BiEncoder(ps, "enc", e, h)
+        self.decoder = LstmCell(ps, "dec", e + 2 * h + self.feat_width, h)
+        self.gen = Linear(ps, "gen", h, self.codec.size)
+        self.gate = Linear(ps, "gate", 2 * h + self.feat_width + e + h, 1)
         self.params = ps
 
     # --- per-sample setup ---

@@ -32,6 +32,7 @@ from hardmono.numcore import Node
 from hardmono.oracle import HAEM, Action, ActionCodec, HaemExecutor, OracleSequence
 
 RESTART = object()    # the feed that returns a tracking LSTM to its learned state
+NUM_TRACKS = {"basic": 1, "extended": 3}   # tracking LSTMs per variant: y, then a and d
 
 
 @dataclass(frozen=True)
@@ -68,20 +69,20 @@ class HaemModel:
         self.extended = config.variant == "extended"
         h, e = config.hidden, config.embed
 
-        ps = ParamSet()
-        self.char_emb = EmbeddingTable(ps, "char_emb", len(vocab), e, rng)
-        self.encoder = BiEncoder(ps, "enc", e, h, rng)
-        self.end_vec = ps.uniform("end_of_lemma", (2 * h,), rng)
+        ps = ParamSet(rng)
+        self.char_emb = EmbeddingTable(ps, "char_emb", len(vocab), e)
+        self.encoder = BiEncoder(ps, "enc", e, h)
+        self.end_vec = ps.uniform("end_of_lemma", (2 * h,))
         # the tracking LSTMs, each with the table that embeds its feeds: y,
         # then a and d in the extended variant
-        self.tracks = [(LstmCell(ps, "y", e, h, rng), self.char_emb)]
+        self.tracks = [(LstmCell(ps, "y", e, h), self.char_emb)]
         if self.extended:
-            act_emb = EmbeddingTable(ps, "act_emb", self.codec.size, e, rng)
-            self.tracks += [(LstmCell(ps, "a", e, h, rng), act_emb),
-                            (LstmCell(ps, "d", e, h, rng), self.char_emb)]
-        state_in = len(self.tracks) * h + 2 * h + feats.num_slots
-        self.state_proj = Linear(ps, "state", state_in, h, rng)
-        self.act_out = Linear(ps, "act", h, self.codec.size, rng)
+            act_emb = EmbeddingTable(ps, "act_emb", self.codec.size, e)
+            self.tracks += [(LstmCell(ps, "a", e, h), act_emb),
+                            (LstmCell(ps, "d", e, h), self.char_emb)]
+        state_in = NUM_TRACKS[config.variant] * h + 2 * h + feats.num_slots
+        self.state_proj = Linear(ps, "state", state_in, h)
+        self.act_out = Linear(ps, "act", h, self.codec.size)
         self.params = ps
 
     # --- per-sample setup ---
@@ -170,7 +171,7 @@ class HaemModel:
     def _scores(self, x: Node, valid: np.ndarray) -> Node:
         """The output head on one state input ``x`` or on one per row,
         masked to the valid actions."""
-        return nc.masked_softmax(self.act_out(nc.relu(self.state_proj(x))), valid)
+        return nc.softmax(self.act_out(nc.relu(self.state_proj(x))), valid)
 
     # --- transitions ---
 

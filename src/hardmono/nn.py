@@ -7,7 +7,7 @@ many inputs at once). The encoder has one call for both, a matrix of
 inputs in and a matrix of positions out, and one tape-free call that
 encodes a list of inputs together for decoding.
 
-All weights initialize uniform(-0.1, 0.1) from the caller's generator;
+All weights initialize uniform(-0.1, 0.1) from the model's generator;
 biases start at zero except the LSTM forget gate, which starts at +1 so
 early training doesn't wash out the cell state.
 """
@@ -29,11 +29,12 @@ class ParamSet:
 
     The ordering is creation order and is part of the checkpoint contract:
     state dicts serialize and load by name, and the optimizer walks
-    parameters in this order.
+    parameters in this order. ``uniform`` draws from ``rng`` in this order.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         self._params: dict[str, Node] = {}
+        self._rng = rng
 
     def _add(self, name: str, value: np.ndarray) -> Node:
         if name in self._params:
@@ -42,8 +43,8 @@ class ParamSet:
         self._params[name] = node
         return node
 
-    def uniform(self, name: str, shape: tuple[int, ...], rng: np.random.Generator) -> Node:
-        return self._add(name, rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape))
+    def uniform(self, name: str, shape: tuple[int, ...]) -> Node:
+        return self._add(name, self._rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape))
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> Node:
         return self._add(name, np.zeros(shape))
@@ -82,21 +83,19 @@ class ParamSet:
 class EmbeddingTable:
     """One learned vector per symbol id; ids must already be in range."""
 
-    def __init__(self, params: ParamSet, name: str, num_symbols: int, dim: int,
-                 rng: np.random.Generator):
+    def __init__(self, params: ParamSet, name: str, num_symbols: int, dim: int):
         if num_symbols < 1 or dim < 1:
             raise ValueError(f"embedding table {name!r} needs positive sizes")
-        self.table = params.uniform(name, (num_symbols, dim), rng)
+        self.table = params.uniform(name, (num_symbols, dim))
 
     def __call__(self, symbol_id: int | np.ndarray) -> Node:
         return nc.row(self.table, symbol_id)
 
 
 class Linear:
-    def __init__(self, params: ParamSet, name: str, in_size: int, out_size: int,
-                 rng: np.random.Generator):
+    def __init__(self, params: ParamSet, name: str, in_size: int, out_size: int):
         self.in_size = in_size
-        self.w = params.uniform(f"{name}.w", (out_size, in_size), rng)
+        self.w = params.uniform(f"{name}.w", (out_size, in_size))
         self.b = params.zeros(f"{name}.b", (out_size,))
 
     def __call__(self, x: Node) -> Node:
@@ -110,16 +109,15 @@ class LstmCell:
     The initial hidden and cell states are learned parameters.
     """
 
-    def __init__(self, params: ParamSet, name: str, input_size: int, hidden_size: int,
-                 rng: np.random.Generator):
+    def __init__(self, params: ParamSet, name: str, input_size: int, hidden_size: int):
         self.input_size = input_size
         h = hidden_size
-        self.w = params.uniform(f"{name}.w", (4 * h, input_size + h), rng)
+        self.w = params.uniform(f"{name}.w", (4 * h, input_size + h))
         bias = np.zeros(4 * h)
         bias[h:2 * h] = 1.0
         self.b = params._add(f"{name}.b", bias)
-        self.h0 = params.uniform(f"{name}.h0", (h,), rng)
-        self.c0 = params.uniform(f"{name}.c0", (h,), rng)
+        self.h0 = params.uniform(f"{name}.h0", (h,))
+        self.c0 = params.uniform(f"{name}.c0", (h,))
 
     def step(self, x: Node, state: tuple[Node, Node]) -> tuple[Node, Node]:
         """The next (h, c) pair; start from (h0, c0). With one input per row
@@ -156,10 +154,9 @@ class BiEncoder:
     """Bidirectional single-layer LSTM; position i sees the whole input and
     yields [forward_i; backward_i] of dimension 2H."""
 
-    def __init__(self, params: ParamSet, name: str, input_size: int, hidden_size: int,
-                 rng: np.random.Generator):
-        self.fwd = LstmCell(params, f"{name}.fwd", input_size, hidden_size, rng)
-        self.bwd = LstmCell(params, f"{name}.bwd", input_size, hidden_size, rng)
+    def __init__(self, params: ParamSet, name: str, input_size: int, hidden_size: int):
+        self.fwd = LstmCell(params, f"{name}.fwd", input_size, hidden_size)
+        self.bwd = LstmCell(params, f"{name}.bwd", input_size, hidden_size)
 
     def __call__(self, x: Node) -> Node:
         """Row i is [forward_i; backward_i] for the rows of ``x``."""

@@ -282,31 +282,25 @@ def log(a: Node) -> Node:
     return _op("log", np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
-def softmax(a: Node) -> Node:
+def softmax(a: Node, valid: np.ndarray | None = None) -> Node:
     """Distribution over a vector, or over each row of a matrix;
-    max-subtracted for stability."""
-    if a.value.ndim not in (1, 2):
+    max-subtracted for stability. With a boolean mask ``valid`` of the
+    same shape, only its True positions share the mass: the rest of the
+    output is exactly 0.0 and receives no gradient. A vector and a one-row
+    matrix give bitwise the same distribution: the masked entries enter
+    each sum as exact zeros."""
+    z = a.value
+    if valid is not None:
+        if z.ndim not in (1, 2) or valid.shape != z.shape:
+            raise ValueError(f"softmax: logits {z.shape} vs mask {valid.shape}")
+        if not valid.any(axis=-1).all():
+            raise ValueError("softmax: no valid positions")
+        z = np.where(valid, z, -np.inf)
+    elif z.ndim not in (1, 2):
         _shape_error("softmax (vector or matrix)", a)
-    z = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-    return _op("softmax", p, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
-
-
-def masked_softmax(a: Node, valid: np.ndarray) -> Node:
-    """Softmax over the positions where ``valid`` is True, per row for a
-    matrix; the rest of the output is exactly 0.0 and receives no
-    gradient. A vector and a one-row matrix give bitwise the same
-    distribution: the masked entries enter each sum as exact zeros."""
-    if a.value.ndim not in (1, 2) or valid.shape != a.value.shape:
-        raise ValueError(f"masked_softmax: logits {a.value.shape} vs mask {valid.shape}")
-    if not valid.any(axis=-1).all():
-        raise ValueError("masked_softmax: no valid positions")
-    z = np.where(valid, a.value, -np.inf)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    return _op("masked_softmax", p, (a,),
-               lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
+    return _op("softmax", p, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
 def _lstm_row(w: np.ndarray, b: np.ndarray, xh: np.ndarray, c: np.ndarray,

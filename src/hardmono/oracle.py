@@ -56,8 +56,8 @@ def write(char: str) -> Action:
     return Action("WRITE", char)
 
 
-_HACM_TAGS = {"WRITE", "STEP", "BOS", "EOS"}
-_HAEM_TAGS = {"WRITE", "COPY", "DELETE", "STOP"}
+# each inventory's structural actions in id order; the last ends a program
+SPECIALS = {HACM: (STEP, BOS, EOS), HAEM: (COPY, DELETE, STOP)}
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,10 @@ class OracleSequence:
     inventory: str  # HACM | HAEM
 
     def __post_init__(self) -> None:
-        tags = _HACM_TAGS if self.inventory == HACM else _HAEM_TAGS
+        if self.inventory not in SPECIALS:
+            raise ValueError(f"unknown inventory {self.inventory!r}")
         for a in self.actions:
-            if a.tag not in tags:
+            if a.tag != "WRITE" and a not in SPECIALS[self.inventory]:
                 raise ValueError(f"{a.tag} is not a {self.inventory} action")
 
     def __len__(self) -> int:
@@ -147,8 +148,7 @@ class HaemExecutor:
         return replace(self, done=True)  # STOP
 
 
-def _executor_for(inventory: str, lemma: str):
-    return HacmExecutor(lemma) if inventory == HACM else HaemExecutor(lemma)
+EXECUTORS = {HACM: HacmExecutor, HAEM: HaemExecutor}
 
 
 def hacm_oracle(alignment: Alignment) -> OracleSequence:
@@ -230,7 +230,7 @@ def replay(lemma: str, seq: OracleSequence) -> str:
 
 def replay_with_trace(lemma: str, seq: OracleSequence) -> tuple[str, list[int]]:
     """Like replay, also returning the attention index at each action."""
-    ex = _executor_for(seq.inventory, lemma)
+    ex = EXECUTORS[seq.inventory](lemma)
     trace = []
     for t, action in enumerate(seq.actions):
         trace.append(ex.i)
@@ -239,7 +239,7 @@ def replay_with_trace(lemma: str, seq: OracleSequence) -> tuple[str, list[int]]:
         except ReplayError as e:
             raise ReplayError(f"step {t + 1}: {e}") from None
     if not ex.done:
-        raise ReplayError(f"sequence ended without {'EOS' if seq.inventory == HACM else 'STOP'}")
+        raise ReplayError(f"sequence ended without {SPECIALS[seq.inventory][-1].tag}")
     return ex.out, trace
 
 
@@ -253,11 +253,11 @@ class ActionCodec:
     """
 
     def __init__(self, inventory: str, chars: tuple[str, ...]):
-        if inventory not in (HACM, HAEM):
+        if inventory not in SPECIALS:
             raise ValueError(f"unknown inventory {inventory!r}")
         self.inventory = inventory
         self.chars = chars
-        self.specials = (STEP, BOS, EOS) if inventory == HACM else (COPY, DELETE, STOP)
+        self.specials = SPECIALS[inventory]
         self.actions = self.specials + tuple(write(c) for c in chars)
         self.ids = {a: i for i, a in enumerate(self.actions)}
 

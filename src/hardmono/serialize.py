@@ -36,7 +36,7 @@ import numpy as np
 
 from hardmono.corpus import CharVocabulary, FeatureAlphabet
 from hardmono.hacm import HacmModel, ModelConfig
-from hardmono.haem import HaemModel
+from hardmono.haem import NUM_TRACKS, HaemModel
 from hardmono.oracle import HACM, HAEM
 
 MAGIC = b"HMPARAMS"
@@ -82,6 +82,10 @@ def _check_sizes(path: Path, manifest: dict, state: dict[str, np.ndarray]) -> No
                 "enc.fwd.h0": (manifest["hidden"],)}
     if manifest["arch"] == HACM:
         expected["feat_emb"] = (len(manifest["features"]) + 1, manifest["feat_embed"])
+    elif manifest["arch"] == HAEM and manifest["variant"] in NUM_TRACKS:
+        h = manifest["hidden"]                  # another variant fails in build_model
+        expected["state.w"] = (h, (NUM_TRACKS[manifest["variant"]] + 2) * h
+                               + len(manifest["features"]) + 1)
     for name, shape in expected.items():
         found = state[name].shape if name in state else None
         if found != shape:

@@ -577,8 +577,9 @@ def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys,
     ("HAEM", {"chars": ["\u2603"] * 1000}, "char_emb"),
     ("HACM", {"feat_embed": 1_000_000}, "feat_emb"),
     ("HACM", {"features": [f"F{i:04d}" for i in range(1000)]}, "feat_emb"),
+    ("HAEM", {"features": [f"F{i:04d}" for i in range(1000)]}, "state.w"),
 ], ids=["hacm-hidden", "haem-hidden", "hacm-embed", "haem-embed", "haem-chars",
-        "hacm-feat-embed", "hacm-features"])
+        "hacm-feat-embed", "hacm-features", "haem-features"])
 def test_predict_checks_manifest_sizes_against_params_before_building(
         lang, checkpoints, tmp_path, capsys, monkeypatch, arch, edit, tensor):
     """Sizes in a manifest that its params.bin does not hold are a bad

@@ -227,6 +227,12 @@ def test_loss_rejects_wrong_inventory():
         m.sample_loss("ab", ("V",), haem_oracle(naive_align("ab", "ab")), training=False)
 
 
+def test_distribution_before_the_first_step_is_an_error():
+    m = build()
+    with pytest.raises(ValueError, match="^distribution before the first decoder step$"):
+        m.distribution(m.start("fog", ("V",)))
+
+
 def test_dropout_needs_generator_and_changes_loss():
     cfg = ModelConfig(hidden=4, embed=3, feat_embed=2, dropout=0.5)
     m = build(chars="ab", feats=("V",), seed=12, cfg=cfg)

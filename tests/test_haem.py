@@ -206,3 +206,9 @@ def test_loss_rejects_oov_write():
     oracle = haem_oracle(naive_align("ab", "aZ"))
     with pytest.raises(ValueError, match="outside the trained inventory"):
         m.sample_loss("ab", ("V",), oracle, training=False)
+
+
+def test_training_loss_needs_a_dropout_generator():
+    m = build(seed=13)
+    with pytest.raises(ValueError, match="^training mode needs a dropout generator$"):
+        m.sample_loss("ab", ("V",), haem_oracle(smart_align("ab", "ag")))

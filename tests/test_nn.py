@@ -6,23 +6,24 @@ from hardmono.nn import BiEncoder, EmbeddingTable, Linear, LstmCell, ParamSet
 
 
 def make(seed=0):
-    return ParamSet(), np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    return ParamSet(rng), rng
 
 
 def test_paramset_rejects_duplicates():
     ps, rng = make()
-    ps.uniform("w", (2,), rng)
+    ps.uniform("w", (2,))
     with pytest.raises(ValueError, match="duplicate"):
         ps.zeros("w", (2,))
 
 
 def test_paramset_state_dict_round_trip():
     ps, rng = make()
-    ps.uniform("a", (3, 2), rng)
+    ps.uniform("a", (3, 2))
     ps.zeros("b", (4,))
     state = ps.state_dict()
     ps2, rng2 = make(1)
-    ps2.uniform("a", (3, 2), rng2)
+    ps2.uniform("a", (3, 2))
     ps2.zeros("b", (4,))
     ps2.load_state_dict(state)
     assert np.array_equal(ps2["a"].value, state["a"])
@@ -32,7 +33,7 @@ def test_paramset_state_dict_round_trip():
 
 def test_paramset_load_rejects_mismatch():
     ps, rng = make()
-    ps.uniform("a", (2,), rng)
+    ps.uniform("a", (2,))
     with pytest.raises(ValueError, match="missing"):
         ps.load_state_dict({})
     with pytest.raises(ValueError, match="shape"):
@@ -41,7 +42,7 @@ def test_paramset_load_rejects_mismatch():
 
 def test_embedding_returns_stored_row():
     ps, rng = make()
-    emb = EmbeddingTable(ps, "emb", 5, 3, rng)
+    emb = EmbeddingTable(ps, "emb", 5, 3)
     assert np.array_equal(emb(2).value, emb.table.value[2])
     with pytest.raises(IndexError):
         emb(5)
@@ -49,7 +50,7 @@ def test_embedding_returns_stored_row():
 
 def test_linear_zero_bias_init():
     ps, rng = make()
-    lin = Linear(ps, "out", 4, 3, rng)
+    lin = Linear(ps, "out", 4, 3)
     assert np.array_equal(lin.b.value, np.zeros(3))
     x = nc.constant(np.ones(4))
     assert np.allclose(lin(x).value, lin.w.value @ np.ones(4))
@@ -57,7 +58,7 @@ def test_linear_zero_bias_init():
 
 def test_lstm_forget_bias_one():
     ps, rng = make()
-    cell = LstmCell(ps, "lstm", 3, 4, rng)
+    cell = LstmCell(ps, "lstm", 3, 4)
     b = cell.b.value
     assert np.array_equal(b[4:8], np.ones(4))
     assert np.array_equal(b[:4], np.zeros(4))
@@ -66,7 +67,7 @@ def test_lstm_forget_bias_one():
 
 def test_lstm_zero_weights_zero_output():
     ps, rng = make()
-    cell = LstmCell(ps, "lstm", 2, 3, rng)
+    cell = LstmCell(ps, "lstm", 2, 3)
     cell.w.value[:] = 0.0
     cell.b.value[:] = 0.0
     cell.h0.value[:] = 0.0
@@ -77,14 +78,14 @@ def test_lstm_zero_weights_zero_output():
 
 def test_lstm_rejects_wrong_input_size():
     ps, rng = make()
-    cell = LstmCell(ps, "lstm", 2, 3, rng)
+    cell = LstmCell(ps, "lstm", 2, 3)
     with pytest.raises(ValueError, match="lstm_step"):
         cell.step(nc.constant(np.zeros(5)), (cell.h0, cell.c0))
 
 
 def test_lstm_chained_steps_grad_check():
     ps, rng = make(3)
-    cell = LstmCell(ps, "lstm", 2, 3, rng)
+    cell = LstmCell(ps, "lstm", 2, 3)
     xs = [nc.constant(rng.uniform(-1, 1, size=2)) for _ in range(5)]
 
     def f():
@@ -96,7 +97,7 @@ def test_lstm_chained_steps_grad_check():
 
 def test_lstm_gradient_flows_to_initial_state():
     ps, rng = make(4)
-    cell = LstmCell(ps, "lstm", 2, 3, rng)
+    cell = LstmCell(ps, "lstm", 2, 3)
     last = nc.row(cell.sequence(nc.constant(rng.uniform(-1, 1, size=(3, 2)))), 2)
     nc.backward(nc.dot(last, last))
     assert np.any(cell.h0.grad != 0)
@@ -105,7 +106,7 @@ def test_lstm_gradient_flows_to_initial_state():
 
 def test_bi_encoder_shapes_and_length():
     ps, rng = make(5)
-    enc = BiEncoder(ps, "enc", 3, 4, rng)
+    enc = BiEncoder(ps, "enc", 3, 4)
     xs = rng.uniform(-1, 1, size=(6, 3))
     assert enc(nc.constant(xs)).value.shape == (6, 8)
     assert enc(nc.constant(xs[:1])).value.shape == (1, 8)
@@ -113,7 +114,7 @@ def test_bi_encoder_shapes_and_length():
 
 def test_bi_encoder_position_sees_whole_input():
     ps, rng = make(6)
-    enc = BiEncoder(ps, "enc", 2, 3, rng)
+    enc = BiEncoder(ps, "enc", 2, 3)
     xs = rng.uniform(-1, 1, size=(4, 2))
     base = enc(nc.constant(xs)).value[0]
     xs2 = xs.copy()
@@ -126,7 +127,7 @@ def test_bi_encoder_directional_wiring():
     """Reversing the input reverses the outputs only when the forward and
     backward halves are swapped to match."""
     ps, rng = make(7)
-    enc = BiEncoder(ps, "enc", 2, 3, rng)
+    enc = BiEncoder(ps, "enc", 2, 3)
     # mirror the weights so both directions compute the same function
     enc.bwd.w.value = enc.fwd.w.value.copy()
     enc.bwd.b.value = enc.fwd.b.value.copy()
@@ -144,14 +145,14 @@ def test_bi_encoder_directional_wiring():
 
 def test_encoder_outputs_finite_for_bounded_inputs():
     ps, rng = make(8)
-    enc = BiEncoder(ps, "enc", 3, 4, rng)
+    enc = BiEncoder(ps, "enc", 3, 4)
     out = enc(nc.constant(np.full((10, 3), 10.0)))
     assert np.all(np.isfinite(out.value))
 
 
 def test_encoder_rejects_empty():
     ps, rng = make()
-    enc = BiEncoder(ps, "enc", 2, 2, rng)
+    enc = BiEncoder(ps, "enc", 2, 2)
     with pytest.raises(ValueError, match="nonempty"):
         enc(nc.constant(np.zeros((0, 2))))
 
@@ -162,7 +163,7 @@ def test_lstm_run_is_bitwise_equal_to_chained_steps():
     for seed, (width, hidden, steps) in enumerate([(1, 1, 1), (5, 3, 7), (100, 100, 12),
                                                     (320, 100, 20), (37, 11, 30)]):
         ps, rng = make(seed)
-        cell = LstmCell(ps, "lstm", width, hidden, rng)
+        cell = LstmCell(ps, "lstm", width, hidden)
         xs = [nc.constant(rng.uniform(-2, 2, size=width)) for _ in range(steps)]
         state = (cell.h0, cell.c0)
         outs = cell.sequence(nc.vstack(xs))
@@ -174,7 +175,7 @@ def test_lstm_run_is_bitwise_equal_to_chained_steps():
 
 def test_lstm_run_gradients_match_chained_steps():
     ps, rng = make(9)
-    cell = LstmCell(ps, "lstm", 4, 3, rng)
+    cell = LstmCell(ps, "lstm", 4, 3)
     xs = [nc.param(rng.uniform(-1, 1, size=4)) for _ in range(6)]
     weights = [nc.constant(rng.uniform(-1, 1, size=3)) for _ in range(6)]
 

@@ -90,7 +90,7 @@ def test_masked_softmax_exact_zeros_and_normalization():
         valid = np.array([rng.random() < 0.6 for _ in range(8)])
         if not valid.any():
             valid[0] = True
-        p = nc.masked_softmax(nc.constant(logits), valid).value
+        p = nc.softmax(nc.constant(logits), valid).value
         assert np.all(p[~valid] == 0.0)
         assert abs(p.sum() - 1.0) < 1e-6
 
@@ -105,8 +105,8 @@ def test_masked_softmax_of_a_vector_is_bitwise_its_one_row_matrix():
             logits = rng_array(rng, size) * 10
             valid = np.array([rng.random() < 0.6 for _ in range(size)])
             valid[rng.sample(range(size), 2)] = (True, False)
-            p = nc.masked_softmax(nc.constant(logits), valid).value
-            one_row = nc.masked_softmax(nc.constant(logits[None]), valid[None]).value
+            p = nc.softmax(nc.constant(logits), valid).value
+            one_row = nc.softmax(nc.constant(logits[None]), valid[None]).value
             assert np.array_equal(p, one_row[0])
 
 
@@ -114,13 +114,30 @@ def test_masked_softmax_gradient():
     rng = random.Random(5)
     logits = nc.param(rng_array(rng, 6))
     valid = np.array([True, False, True, True, False, True])
-    err = nc.grad_check(lambda: nc.log(nc.pick(nc.masked_softmax(logits, valid), 2)), [logits])
+    err = nc.grad_check(lambda: nc.log(nc.pick(nc.softmax(logits, valid), 2)), [logits])
     assert err < 1e-6
 
 
 def test_masked_softmax_needs_a_valid_position():
     with pytest.raises(ValueError):
-        nc.masked_softmax(nc.constant([1.0, 2.0]), np.array([False, False]))
+        nc.softmax(nc.constant([1.0, 2.0]), np.array([False, False]))
+
+
+def test_grad_check_catches_a_wrong_backward_rule():
+    """The gate can fail: a rule that doubles the true gradient misses it
+    by half of itself, while the true rule agrees."""
+    rng = random.Random(14)
+    x = nc.param(rng_array(rng, 4))
+
+    def square_sum(factor):
+        def f():
+            v = x.value.copy()
+            y = nc._op("square", v * v, (x,), lambda g: (factor * 2.0 * v * g,))
+            return nc.dot(y, nc.constant(np.ones(4)))
+        return f
+
+    assert nc.grad_check(square_sum(2.0), [x]) >= 0.4
+    assert nc.grad_check(square_sum(1.0), [x]) < 1e-6
 
 
 def test_structural_ops_grad_check():
@@ -317,18 +334,18 @@ def test_matrix_masked_softmax_grad_check_and_zeros():
                       [True, True, True, True, True]])
 
     def f():
-        p = nc.masked_softmax(logits, valid)
+        p = nc.softmax(logits, valid)
         return nc.dot(nc.log(nc.pick(p, np.array([2, 2, 4]))), nc.constant(np.ones(3)))
 
     assert nc.grad_check(f, [logits]) < 1e-6
-    p = nc.masked_softmax(nc.constant(logits.value), valid).value
+    p = nc.softmax(nc.constant(logits.value), valid).value
     assert np.all(p[~valid] == 0.0)
     assert np.allclose(p.sum(axis=1), 1.0)
     for r in range(3):  # each row is the vector form of the op
-        vector = nc.masked_softmax(nc.constant(logits.value[r]), valid[r]).value
+        vector = nc.softmax(nc.constant(logits.value[r]), valid[r]).value
         assert np.array_equal(p[r], vector)
     with pytest.raises(ValueError, match="no valid"):
-        nc.masked_softmax(logits, np.array([[True] * 5, [False] * 5, [True] * 5]))
+        nc.softmax(logits, np.array([[True] * 5, [False] * 5, [True] * 5]))
 
 
 def test_matrix_shape_errors_name_the_op():
@@ -475,7 +492,7 @@ OPS = {
     "relu": (nc.relu, [v - 1.0 for v in _values(3)]),
     "log": (nc.log, _values(3)),
     "softmax": (nc.softmax, _values((2, 3))),
-    "masked_softmax": (lambda a: nc.masked_softmax(a, np.array([True, False, True])),
+    "masked_softmax": (lambda a: nc.softmax(a, np.array([True, False, True])),   # a softmax node
                        _values(3)),
     "lstm_seq": (nc.lstm_seq, _values((4, 2), (12, 5), 12, 3, 3)),
     "lstm_step": (nc.lstm_step, _values(2, (12, 5), 12, 3, 3)),
@@ -503,6 +520,8 @@ def test_every_op_records_its_inputs_only_on_the_tape(name):
         h, c = taped
         assert h._parents == c._parents and len(h._parents) == 1
         node, op = h._parents[0], "lstm_step"
+    elif name == "masked_softmax":
+        op = "softmax"
     elif name == "sub":            # add(a, neg(b))
         negated = node._parents[1]
         assert negated.name == "neg" and negated._parents == (inputs[1],)

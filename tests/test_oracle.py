@@ -180,6 +180,23 @@ def test_inventory_validation():
         OracleSequence((STEP,), "HAEM")
 
 
+def test_an_unknown_inventory_is_rejected():
+    """An inventory outside the two is neither: a sequence is not taken
+    for HAEM, as a codec is not."""
+    with pytest.raises(ValueError, match="unknown inventory 'FOO'"):
+        OracleSequence((COPY, STOP), "FOO")
+    with pytest.raises(ValueError, match="unknown inventory 'FOO'"):
+        ActionCodec("FOO", ("a",))
+
+
+@pytest.mark.parametrize("inventory, foreign", [
+    (HACM, (COPY, DELETE, STOP)), (HAEM, (STEP, BOS, EOS))])
+def test_each_structural_action_of_the_other_inventory_is_rejected(inventory, foreign):
+    for action in foreign:
+        with pytest.raises(ValueError, match=f"^{action.tag} is not a {inventory} action$"):
+            OracleSequence((action,), inventory)
+
+
 def test_step_past_frame_end_fails():
     seq = OracleSequence((BOS, STEP, STEP, STEP, EOS), "HACM")
     with pytest.raises(ReplayError, match="past end"):
@@ -193,9 +210,9 @@ def test_copy_past_lemma_end_fails():
 
 
 def test_missing_terminal_fails():
-    with pytest.raises(ReplayError, match="EOS"):
+    with pytest.raises(ReplayError, match="^sequence ended without EOS$"):
         replay("a", OracleSequence((BOS, STEP), "HACM"))
-    with pytest.raises(ReplayError, match="STOP"):
+    with pytest.raises(ReplayError, match="^sequence ended without STOP$"):
         replay("a", OracleSequence((COPY,), "HAEM"))
 
 

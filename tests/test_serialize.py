@@ -157,6 +157,24 @@ def test_manifest_params_mismatch(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+@pytest.mark.parametrize("edit, tensor", [
+    (lambda state: state.pop("gen.b"), "gen.b"),
+    (lambda state: state.update({"gen.c": np.zeros(2)}), "gen.c"),
+    (lambda state: state.update({"gen.b": state["gen.b"][:-1]}), "gen.b"),
+], ids=["missing", "extra", "short"])
+def test_params_that_do_not_fit_the_model_name_the_file_and_the_tensor(tmp_path, edit, tensor):
+    """A params.bin whose sizes agree with the manifest can still lack a
+    tensor, hold one too many, or hold one of the wrong shape."""
+    save_checkpoint(tmp_path / "ckpt", tiny_model(HacmModel), "smart")
+    path = tmp_path / "ckpt" / "params.bin"
+    state = load_params(path)
+    edit(state)
+    save_params(path, state)
+    with pytest.raises(CheckpointError) as caught:
+        load_checkpoint(tmp_path / "ckpt")
+    assert str(caught.value).startswith(f"{path}: ") and repr(tensor) in str(caught.value)
+
+
 def test_no_temp_files_left(tmp_path):
     model = tiny_model(HaemModel)
     save_checkpoint(tmp_path / "ckpt", model, "smart")
