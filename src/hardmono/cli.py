@@ -21,7 +21,7 @@ from hardmono.corpus import DataError, Sample, open_text, parse_dataset
 # greedy_decode and predict are not called here: perfbench/selftest.py checks they are traced
 from hardmono.decode import greedy_decode
 from hardmono.ensemble import EnsembleError, Member, PoolEntry, require_run_cells, run_strategy
-from hardmono.hacm import ModelConfig
+from hardmono.hacm import VARIANTS, ModelConfig
 from hardmono.metrics import macro_report, render_table, render_tsv, score
 from hardmono.numcore import GradError
 from hardmono.oracle import HACM, HAEM, ORACLES, ReplayError, display_trace
@@ -334,7 +334,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="character/action embedding size")
     p.add_argument("--feat-embed", type=int, default=ModelConfig.feat_embed,
                    help="feature embedding size")
-    p.add_argument("--variant", choices=("basic", "extended"), default=ModelConfig.variant,
+    p.add_argument("--variant", choices=VARIANTS, default=ModelConfig.variant,
                    help="decoder-state feature set")
 
 
@@ -466,7 +466,13 @@ def _coerce(key: str, action: argparse.Action, value: str):
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"config key {key!r}: not a boolean: {value!r}")
-    convert = action.type or str
+
+    def convert(v: str):
+        try:
+            return (action.type or str)(v)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid {action.type.__name__} "
+                             f"value: {v!r}") from None
     if action.nargs in ("+", "*") or isinstance(action, argparse._AppendAction):
         return [convert(v) for v in value.split()]
     converted = convert(value)

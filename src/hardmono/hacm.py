@@ -27,6 +27,9 @@ from hardmono.numcore import Node
 from hardmono.oracle import HACM, Action, ActionCodec, HacmExecutor, OracleSequence
 
 
+VARIANTS = ("basic", "extended")   # edit-action state inputs; HaemModel builds each
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Sizes shared by both architectures; the variant flag only affects
@@ -41,7 +44,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if min(self.hidden, self.embed, self.feat_embed) < 1:
             raise ValueError("model sizes must be positive")
-        if self.variant not in ("basic", "extended"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout {self.dropout} outside [0, 1)")
@@ -67,16 +70,17 @@ class HacmModel:
     arch = HACM
 
     def __init__(self, vocab: CharVocabulary, feats: FeatureAlphabet,
-                 config: ModelConfig, rng: np.random.Generator):
+                 config: ModelConfig, source: np.random.Generator | dict[str, np.ndarray]):
         self.vocab = vocab
         self.feats = feats
         self.config = config
-        self.codec = ActionCodec(HACM, vocab.chars)
         h, e, f = config.hidden, config.embed, config.feat_embed
         self.feat_width = f * feats.num_slots
 
-        ps = ParamSet(rng)
+        ps = ParamSet(source)
         self.char_emb = EmbeddingTable(ps, "char_emb", len(vocab), e)
+        # after char_emb, whose shape check bounds a checkpoint's vocabulary
+        self.codec = ActionCodec(HACM, vocab.chars)
         self.act_emb = EmbeddingTable(ps, "act_emb", self.codec.size, e)
         self.feat_emb = EmbeddingTable(ps, "feat_emb", feats.num_slots, f)
         self.encoder = BiEncoder(ps, "enc", e, h)

@@ -32,7 +32,6 @@ from hardmono.numcore import Node
 from hardmono.oracle import HAEM, Action, ActionCodec, HaemExecutor, OracleSequence
 
 RESTART = object()    # the feed that returns a tracking LSTM to its learned state
-NUM_TRACKS = {"basic": 1, "extended": 3}   # tracking LSTMs per variant: y, then a and d
 
 
 @dataclass(frozen=True)
@@ -61,16 +60,17 @@ class HaemModel:
     COPY_ID, DELETE_ID, STOP_ID = 0, 1, 2
 
     def __init__(self, vocab: CharVocabulary, feats: FeatureAlphabet,
-                 config: ModelConfig, rng: np.random.Generator):
+                 config: ModelConfig, source: np.random.Generator | dict[str, np.ndarray]):
         self.vocab = vocab
         self.feats = feats
         self.config = config
-        self.codec = ActionCodec(HAEM, vocab.chars)
         self.extended = config.variant == "extended"
         h, e = config.hidden, config.embed
 
-        ps = ParamSet(rng)
+        ps = ParamSet(source)
         self.char_emb = EmbeddingTable(ps, "char_emb", len(vocab), e)
+        # after char_emb, whose shape check bounds a checkpoint's vocabulary
+        self.codec = ActionCodec(HAEM, vocab.chars)
         self.encoder = BiEncoder(ps, "enc", e, h)
         self.end_vec = ps.uniform("end_of_lemma", (2 * h,))
         # the tracking LSTMs, each with the table that embeds its feeds: y,
@@ -80,7 +80,7 @@ class HaemModel:
             act_emb = EmbeddingTable(ps, "act_emb", self.codec.size, e)
             self.tracks += [(LstmCell(ps, "a", e, h), act_emb),
                             (LstmCell(ps, "d", e, h), self.char_emb)]
-        state_in = NUM_TRACKS[config.variant] * h + 2 * h + feats.num_slots
+        state_in = len(self.tracks) * h + 2 * h + feats.num_slots
         self.state_proj = Linear(ps, "state", state_in, h)
         self.act_out = Linear(ps, "act", h, self.codec.size)
         self.params = ps

@@ -7,14 +7,15 @@ many inputs at once). The encoder has one call for both, a matrix of
 inputs in and a matrix of positions out, and one tape-free call that
 encodes a list of inputs together for decoding.
 
-All weights initialize uniform(-0.1, 0.1) from the model's generator;
-biases start at zero except the LSTM forget gate, which starts at +1 so
-early training doesn't wash out the cell state.
+A model's weights come from its generator or from a checkpoint's tensors
+(``ParamSet``). Drawn weights are uniform(-0.1, 0.1); biases start at zero
+except the LSTM forget gate, which starts at +1 so early training doesn't
+wash out the cell state.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -29,25 +30,33 @@ class ParamSet:
 
     The ordering is creation order and is part of the checkpoint contract:
     state dicts serialize and load by name, and the optimizer walks
-    parameters in this order. ``uniform`` draws from ``rng`` in this order.
+    parameters in this order. Each parameter's first value comes from
+    ``source``: drawn from it in this order when it is a generator, or,
+    when it is a checkpoint's tensors, the tensor of its name itself, once
+    that has the shape its layer asks for.
     """
 
-    def __init__(self, rng: np.random.Generator) -> None:
+    def __init__(self, source: np.random.Generator | dict[str, np.ndarray]) -> None:
         self._params: dict[str, Node] = {}
-        self._rng = rng
+        self._source = source
 
-    def _add(self, name: str, value: np.ndarray) -> Node:
+    def _add(self, name: str, shape: tuple[int, ...],
+             init: Callable[[np.random.Generator], np.ndarray]) -> Node:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        node = nc.param(value, name=name)
+        if isinstance(self._source, dict):
+            value = _tensor(self._source, name, shape)
+        else:
+            value = init(self._source)
+        node = Node(value, requires_grad=True, name=name)
         self._params[name] = node
         return node
 
     def uniform(self, name: str, shape: tuple[int, ...]) -> Node:
-        return self._add(name, self._rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape))
+        return self._add(name, shape, lambda rng: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape))
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> Node:
-        return self._add(name, np.zeros(shape))
+        return self._add(name, shape, lambda rng: np.zeros(shape))
 
     def __getitem__(self, name: str) -> Node:
         return self._params[name]
@@ -65,19 +74,27 @@ class ParamSet:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        missing = set(self._params) - set(state)
+    def check_names(self, state: dict[str, np.ndarray]) -> None:
+        """Raise if ``state`` holds a tensor that is no parameter here."""
         extra = set(state) - set(self._params)
-        if missing or extra:
-            raise ValueError(f"state dict mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+        if extra:
+            raise ValueError(f"tensor {min(extra)!r} is not a parameter of the model")
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        self.check_names(state)
         for name, p in self._params.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != p.value.shape:
-                raise ValueError(
-                    f"parameter {name!r}: checkpoint shape {value.shape} vs model {p.value.shape}"
-                )
-            p.value = value.copy()
+            p.value = np.array(_tensor(state, name, p.value.shape), dtype=np.float64)
             p.zero_grad()
+
+
+def _tensor(state: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``state[name]``, once it is there and has ``shape``."""
+    if name not in state:
+        raise ValueError(f"tensor {name!r} is missing")
+    if state[name].shape != shape:
+        raise ValueError(f"tensor {name!r} has shape {state[name].shape}, "
+                         f"the model needs {shape}")
+    return state[name]
 
 
 class EmbeddingTable:
@@ -113,9 +130,8 @@ class LstmCell:
         self.input_size = input_size
         h = hidden_size
         self.w = params.uniform(f"{name}.w", (4 * h, input_size + h))
-        bias = np.zeros(4 * h)
-        bias[h:2 * h] = 1.0
-        self.b = params._add(f"{name}.b", bias)
+        self.b = params._add(f"{name}.b", (4 * h,),
+                             lambda rng: np.repeat([0.0, 1.0, 0.0, 0.0], h))
         self.h0 = params.uniform(f"{name}.h0", (h,))
         self.c0 = params.uniform(f"{name}.c0", (h,))
 

@@ -36,8 +36,8 @@ import numpy as np
 
 from hardmono.corpus import CharVocabulary, FeatureAlphabet
 from hardmono.hacm import HacmModel, ModelConfig
-from hardmono.haem import NUM_TRACKS, HaemModel
-from hardmono.oracle import HACM, HAEM
+from hardmono.haem import HaemModel
+from hardmono.train import MODELS
 
 MAGIC = b"HMPARAMS"
 FORMAT_VERSION = 1
@@ -61,7 +61,7 @@ class CheckpointError(ValueError):
 
 def _check_manifest(manifest) -> dict:
     """The manifest, once it is an object whose keys have the types
-    build_model reads."""
+    load_checkpoint reads."""
     if not isinstance(manifest, dict):
         raise CheckpointError("manifest is not a JSON object")
     for key, kinds in _MANIFEST_TYPES.items():
@@ -71,26 +71,6 @@ def _check_manifest(manifest) -> dict:
             raise CheckpointError(f"manifest key {key!r} is missing or has the wrong "
                                   f"type ({type(value).__name__})")
     return manifest
-
-
-def _check_sizes(path: Path, manifest: dict, state: dict[str, np.ndarray]) -> None:
-    """Raise unless the tensors that bound every other one a model builds
-    have the shapes the manifest's sizes give, so that a manifest whose
-    sizes are wrong allocates nothing."""
-    expected = {"char_emb": (CharVocabulary.NUM_SPECIALS + len(manifest["chars"]),
-                             manifest["embed"]),
-                "enc.fwd.h0": (manifest["hidden"],)}
-    if manifest["arch"] == HACM:
-        expected["feat_emb"] = (len(manifest["features"]) + 1, manifest["feat_embed"])
-    elif manifest["arch"] == HAEM and manifest["variant"] in NUM_TRACKS:
-        h = manifest["hidden"]                  # another variant fails in build_model
-        expected["state.w"] = (h, (NUM_TRACKS[manifest["variant"]] + 2) * h
-                               + len(manifest["features"]) + 1)
-    for name, shape in expected.items():
-        found = state[name].shape if name in state else None
-        if found != shape:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {found}, "
-                                  f"the manifest's sizes give {shape}")
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -176,20 +156,6 @@ def build_manifest(model: HacmModel | HaemModel, aligner: str,
     }
 
 
-def build_model(manifest: dict) -> HacmModel | HaemModel:
-    """Model object matching a manifest, with freshly initialized weights
-    (callers load the parameter file on top)."""
-    config = ModelConfig(**{f.name: manifest[f.name] for f in dataclasses.fields(ModelConfig)})
-    vocab = CharVocabulary(tuple(manifest["chars"]))
-    feats = FeatureAlphabet(tuple(manifest["features"]))
-    arch = manifest["arch"]
-    if arch == HACM:
-        return HacmModel(vocab, feats, config, np.random.default_rng(0))
-    if arch == HAEM:
-        return HaemModel(vocab, feats, config, np.random.default_rng(0))
-    raise CheckpointError(f"unknown architecture tag {arch!r}")
-
-
 def save_checkpoint(directory: str | Path, model: HacmModel | HaemModel, aligner: str,
                     dev_accuracy: float | None = None, seed: int | None = None) -> None:
     directory = Path(directory)
@@ -201,23 +167,28 @@ def save_checkpoint(directory: str | Path, model: HacmModel | HaemModel, aligner
 
 
 def load_checkpoint(directory: str | Path) -> tuple[HacmModel | HaemModel, dict]:
+    """The model a checkpoint holds, built on its tensors, and its manifest.
+    As the model is built, each tensor is checked by name and shape, so a
+    size that does not fit fails before anything of that size is made."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise CheckpointError(f"{directory}: no {MANIFEST_NAME}")
     try:
         manifest = _check_manifest(json.loads(manifest_path.read_text(encoding="utf-8")))
+        if manifest["arch"] not in MODELS:
+            raise CheckpointError(f"unknown architecture tag {manifest['arch']!r}")
+        config = ModelConfig(**{f.name: manifest[f.name]
+                                for f in dataclasses.fields(ModelConfig)})
+        vocab = CharVocabulary(tuple(manifest["chars"]))
+        feats = FeatureAlphabet(tuple(manifest["features"]))
     except (ValueError, RecursionError) as e:   # RecursionError: nested past the limit
         raise CheckpointError(f"{manifest_path}: {e}") from None
     params_path = directory / PARAMS_NAME
     state = load_params(params_path)
-    _check_sizes(params_path, manifest, state)
     try:
-        model = build_model(manifest)
-    except ValueError as e:
-        raise CheckpointError(f"{manifest_path}: {e}") from None
-    try:
-        model.params.load_state_dict(state)
+        model = MODELS[manifest["arch"]](vocab, feats, config, state)
+        model.params.check_names(state)
     except ValueError as e:
         raise CheckpointError(f"{params_path}: {e}") from None
     return model, manifest

@@ -44,6 +44,8 @@ POPULATION_COUNTS = {
 
 CELL_ORDER = ((HACM, "smart"), (HACM, "naive"), (HAEM, "smart"), (HAEM, "naive"))
 
+MODELS = {HACM: HacmModel, HAEM: HaemModel}   # the model class of each architecture
+
 # Adam's moment decays and denominator guard, and the global gradient-norm clip
 BETA1, BETA2, EPS, CLIP_NORM = 0.9, 0.999, 1e-8, 5.0
 
@@ -179,8 +181,7 @@ def train_model(arch: str, aligner: str, train: list[Sample], dev: list[Sample],
     vocab, feats = build_vocab(train)
     rng = np.random.default_rng(config.seed)
     model_config = replace(sizes, dropout=config.dropout)
-    cls = HacmModel if arch == HACM else HaemModel
-    model = cls(vocab, feats, model_config, rng)
+    model = MODELS[arch](vocab, feats, model_config, rng)
     optimizer = Adam(model.params.nodes(), lr=config.lr)
 
     best_accuracy = -1.0

@@ -8,13 +8,24 @@ import shlex
 import shutil
 import struct
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hardmono.cli import build_parser, main
 from hardmono.corpus import Sample, parse_dataset, write_dataset
-from hardmono.serialize import FORMAT_VERSION, MAGIC, load_checkpoint, load_params, save_params
+from hardmono.haem import HaemModel
+from hardmono.serialize import (
+    FORMAT_VERSION,
+    MAGIC,
+    load_checkpoint,
+    load_params,
+    save_checkpoint,
+    save_params,
+)
 from hardmono.train import predict
 
 TESTS = Path(__file__).resolve().parent
@@ -289,7 +300,12 @@ def test_repeatable_flags_replace_the_config_file_list(lang, tmp_path, capsys):
      "error: config key 'aligner': invalid choice 'fancy'\n"),
     (["align", "--config", "{cfg}"], "aligner naive\n", 2,
      "error: {cfg}:1: expected key = value\n"),
-], ids=["comments-and-true", "false", "not-a-boolean", "invalid-choice", "no-equals"])
+    (["train", "--config", "{cfg}", "--arch", "HACM", "--train", "t", "--dev", "d", "--out", "o"],
+     "hidden = abc\n", 1, "error: config key 'hidden': invalid int value: 'abc'\n"),
+    (["train", "--config", "{cfg}", "--arch", "HACM", "--train", "t", "--dev", "d", "--out", "o"],
+     "epochs = 1.5\n", 1, "error: config key 'epochs': invalid int value: '1.5'\n"),
+], ids=["comments-and-true", "false", "not-a-boolean", "invalid-choice", "no-equals",
+        "not-an-int", "float-for-int"])
 def test_config_file_lines_and_values(lang, tmp_path, capsys, argv, text, code, expect):
     """A config file may hold comments and blank lines and spell a switch
     as a word; a value it cannot take is an error that names the key as
@@ -530,70 +546,106 @@ def _set_weight(name: str, value: float):
     return corrupt
 
 
-@pytest.mark.parametrize("corrupt", [
-    _edit_manifest(lambda m: m.pop("hidden")),
-    _edit_manifest(lambda m: m.pop("arch")),
-    _edit_manifest(lambda m: m.update(hidden="4")),
-    _edit_manifest(lambda m: m.update(hidden=0)),
-    _edit_manifest(lambda m: m.update(chars=[1, 2])),
-    _edit_manifest(lambda m: m.update(chars=["zz"] + m["chars"][1:])),
-    _edit_manifest(lambda m: m.update(chars=[""] + m["chars"][1:])),
-    _edit_manifest(lambda m: m.update(seed="1")),
-    lambda ckpt: (ckpt / "manifest.json").write_text("[]"),
-    lambda ckpt: (ckpt / "manifest.json").write_text('{"arch": "HACM",'),
-    _write_header(b"{}"),
-    _write_header(b'{"entries": [{"name": "w"}]}'),
-    _write_header(b'{"entries": [{"name": "w", "shape": [2.5]}]}'),
-    _write_header(b"not json"),
-    lambda ckpt: (ckpt / "params.bin").write_bytes(
-        MAGIC + struct.pack("<IQ", FORMAT_VERSION, 99) + b"{}"),
-    lambda ckpt: (ckpt / "params.bin").write_bytes(MAGIC + b"\x01"),
-    _repeat_first_entry,
-    _set_weight("dec.w", math.nan),
-    _set_weight("gen.b", math.inf),
+@pytest.mark.parametrize("corrupt, named", [
+    (_edit_manifest(lambda m: m.pop("hidden")), "manifest.json"),
+    (_edit_manifest(lambda m: m.pop("arch")), "manifest.json"),
+    (_edit_manifest(lambda m: m.update(hidden="4")), "manifest.json"),
+    (_edit_manifest(lambda m: m.update(hidden=0)), "manifest.json"),
+    (_edit_manifest(lambda m: m.update(chars=[1, 2])), "manifest.json"),
+    (_edit_manifest(lambda m: m.update(chars=["zz"] + m["chars"][1:])), "manifest.json"),
+    (_edit_manifest(lambda m: m.update(chars=[""] + m["chars"][1:])), "manifest.json"),
+    (_edit_manifest(lambda m: m.update(chars=["\u2603"] * 1000)), "manifest.json"),
+    (_edit_manifest(lambda m: m.update(seed="1")), "manifest.json"),
+    (lambda ckpt: (ckpt / "manifest.json").write_text("[]"), "manifest.json"),
+    (lambda ckpt: (ckpt / "manifest.json").write_text('{"arch": "HACM",'), "manifest.json"),
+    (_write_header(b"{}"), "params.bin"),
+    (_write_header(b'{"entries": [{"name": "w"}]}'), "params.bin"),
+    (_write_header(b'{"entries": [{"name": "w", "shape": [2.5]}]}'), "params.bin"),
+    (_write_header(b"not json"), "params.bin"),
+    (lambda ckpt: (ckpt / "params.bin").write_bytes(
+        MAGIC + struct.pack("<IQ", FORMAT_VERSION, 99) + b"{}"), "params.bin"),
+    (lambda ckpt: (ckpt / "params.bin").write_bytes(MAGIC + b"\x01"), "params.bin"),
+    (_repeat_first_entry, "params.bin"),
+    (_set_weight("dec.w", math.nan), "params.bin"),
+    (_set_weight("gen.b", math.inf), "params.bin"),
     # nested past Python's recursion limit, which json's decoder raises on
-    lambda ckpt: (ckpt / "manifest.json").write_text("[" * 100_000),
-    _write_header(b"[" * 100_000),
+    (lambda ckpt: (ckpt / "manifest.json").write_text("[" * 100_000), "manifest.json"),
+    (_write_header(b"[" * 100_000), "params.bin"),
 ], ids=["no-hidden", "no-arch", "hidden-str", "hidden-zero", "chars-int", "chars-multi",
-        "chars-empty", "seed-str", "not-object", "bad-json", "no-entries", "no-shape",
-        "float-shape", "header-json", "header-past-end", "short-params", "repeated-name",
-        "nan-weight", "inf-weight", "nested-manifest", "nested-header"])
-def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys, corrupt):
+        "chars-empty", "chars-repeated", "seed-str", "not-object", "bad-json", "no-entries",
+        "no-shape", "float-shape", "header-json", "header-past-end", "short-params",
+        "repeated-name", "nan-weight", "inf-weight", "nested-manifest", "nested-header"])
+def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys, corrupt, named):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoints / "HACM_smart", ckpt)
     corrupt(ckpt)
     out = tmp_path / "pred.tsv"
     assert main(["predict", "--model", str(ckpt), "--input", str(lang / "test.tsv"),
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {ckpt / named}: "), lines
     assert not out.exists()
 
 
+def _predict(model, data) -> tuple[int, int]:
+    """The exit code of ``predict`` and the peak bytes Python allocated in it."""
+    tracemalloc.start()
+    try:
+        code = main(["predict", "--model", str(model), "--input", str(data)])
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("arch, edit, tensor", [
-    ("HACM", {"hidden": 1_000_000}, "enc.fwd.h0"),
-    ("HAEM", {"hidden": 1_000_000}, "enc.fwd.h0"),
+    ("HACM", {"hidden": 1_000_000}, "enc.fwd.w"),
+    ("HAEM", {"hidden": 1_000_000}, "enc.fwd.w"),
     ("HACM", {"embed": 1_000_000}, "char_emb"),
     ("HAEM", {"embed": 1_000_000}, "char_emb"),
-    ("HAEM", {"chars": ["\u2603"] * 1000}, "char_emb"),
+    ("HAEM", {"chars": [chr(0x4E00 + i) for i in range(1000)]}, "char_emb"),
     ("HACM", {"feat_embed": 1_000_000}, "feat_emb"),
     ("HACM", {"features": [f"F{i:04d}" for i in range(1000)]}, "feat_emb"),
     ("HAEM", {"features": [f"F{i:04d}" for i in range(1000)]}, "state.w"),
 ], ids=["hacm-hidden", "haem-hidden", "hacm-embed", "haem-embed", "haem-chars",
         "hacm-feat-embed", "hacm-features", "haem-features"])
 def test_predict_checks_manifest_sizes_against_params_before_building(
-        lang, checkpoints, tmp_path, capsys, monkeypatch, arch, edit, tensor):
+        lang, checkpoints, tmp_path, capsys, arch, edit, tensor):
     """Sizes in a manifest that its params.bin does not hold are a bad
-    checkpoint, found before any model is built: a hidden size of a million
-    would ask for tens of terabytes."""
+    checkpoint, found at the first tensor that does not fit, before anything
+    of that size is made: a hidden size of a million would ask for tens of
+    terabytes. So the failing predict allocates less than twice what an
+    intact checkpoint's whole predict does."""
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoints / f"{arch}_smart", ckpt)
     _edit_manifest(lambda m: m.update(edit))(ckpt)
-    monkeypatch.setattr("hardmono.serialize.build_model",
-                        lambda *a, **k: pytest.fail("a model was built"))
+    intact_code, intact_peak = _predict(checkpoints / f"{arch}_smart", lang / "test.tsv")
+    assert intact_code == 0
+    capsys.readouterr()
+    code, peak = _predict(ckpt, lang / "test.tsv")
+    assert code == 2 and peak < 2 * intact_peak, (peak, intact_peak)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {ckpt / 'params.bin'}: "), lines
+    assert repr(tensor) in lines[0]
+
+
+@pytest.mark.parametrize("saved, named, tensor", [
+    ("extended", "basic", "state.w"),
+    ("basic", "extended", "act_emb"),
+], ids=["basic-over-extended", "extended-over-basic"])
+def test_predict_rejects_a_haem_manifest_naming_the_other_variant(
+        lang, checkpoints, tmp_path, capsys, saved, named, tensor):
+    """The variants share their first tensors: a manifest naming the other
+    variant fails at the first tensor they do not share, which is missing
+    (act_emb) or of another shape (state.w)."""
+    model, _ = load_checkpoint(checkpoints / "HAEM_smart")
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, HaemModel(model.vocab, model.feats, replace(model.config, variant=saved),
+                                    np.random.default_rng(0)), "smart")
+    _edit_manifest(lambda m: m.update(variant=named))(ckpt)
     assert main(["predict", "--model", str(ckpt), "--input", str(lang / "test.tsv")]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert "params.bin" in lines[0] and repr(tensor) in lines[0]
+    assert len(lines) == 1 and lines[0].startswith(f"error: {ckpt / 'params.bin'}: "), lines
+    assert repr(tensor) in lines[0]
 
 
 @pytest.mark.parametrize("accuracy, message", [

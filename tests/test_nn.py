@@ -38,6 +38,19 @@ def test_paramset_load_rejects_mismatch():
         ps.load_state_dict({})
     with pytest.raises(ValueError, match="shape"):
         ps.load_state_dict({"a": np.zeros((3,))})
+    with pytest.raises(ValueError, match="'b' is not a parameter"):
+        ps.load_state_dict({"a": np.zeros((2,)), "b": np.zeros((2,))})
+
+
+def test_paramset_on_a_state_takes_each_tensor_once_its_shape_fits():
+    state = {"w": np.arange(6.0).reshape(3, 2), "b": np.ones(3)}
+    ps = ParamSet(state)
+    assert np.array_equal(ps.uniform("w", (3, 2)).value, state["w"])
+    with pytest.raises(ValueError, match=r"'b' has shape \(3,\), the model needs \(4,\)"):
+        ps.zeros("b", (4,))
+    with pytest.raises(ValueError, match="'c' is missing"):
+        ps.zeros("c", (3,))
+    assert ps["w"].value is state["w"]   # taken, not copied
 
 
 def test_embedding_returns_stored_row():

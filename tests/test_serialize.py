@@ -105,9 +105,12 @@ def test_manifest_fields():
 
 
 @pytest.mark.parametrize("cls", [HacmModel, HaemModel])
-def test_checkpoint_round_trip(tmp_path, cls):
+def test_checkpoint_round_trip(tmp_path, monkeypatch, cls):
+    """Loading builds the model on the saved tensors: it draws no weights."""
     model = tiny_model(cls, seed=5)
     save_checkpoint(tmp_path / "ckpt", model, "naive", dev_accuracy=0.5, seed=5)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: pytest.fail("loading made a generator"))
     loaded, manifest = load_checkpoint(tmp_path / "ckpt")
     assert manifest["aligner"] == "naive"
     original = model.params.state_dict()
