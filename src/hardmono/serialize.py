@@ -41,6 +41,8 @@ from hardmono.train import MODELS
 
 MAGIC = b"HMPARAMS"
 FORMAT_VERSION = 1
+# the bytes before the header: magic, format version, header length
+_PREFIX = struct.Struct("<8sIQ")
 
 MANIFEST_NAME = "manifest.json"
 PARAMS_NAME = "params.bin"
@@ -73,11 +75,12 @@ def _check_manifest(manifest) -> dict:
     return manifest
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, *chunks) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -86,59 +89,55 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 def save_params(path: str | Path, state: dict[str, np.ndarray]) -> None:
-    path = Path(path)
-    entries = [{"name": name, "shape": list(np.asarray(v).shape)} for name, v in state.items()]
+    """Write ``state`` as a parameter file, each tensor from its own array."""
+    entries = [{"name": name, "shape": list(np.shape(v))} for name, v in state.items()]
     header = json.dumps({"entries": entries}).encode("utf-8")
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", FORMAT_VERSION)
-    blob += struct.pack("<Q", len(header))
-    blob += header
-    for value in state.values():
-        blob += np.ascontiguousarray(value, dtype="<f8").tobytes()
-    _atomic_write(path, bytes(blob))
+    _atomic_write(Path(path), _PREFIX.pack(MAGIC, FORMAT_VERSION, len(header)), header,
+                  *(np.ascontiguousarray(v, dtype="<f8") for v in state.values()))
 
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if raw[:8] != MAGIC:
-        raise CheckpointError(f"{path}: not a parameter file (bad magic)")
-    if len(raw) < 20:
-        raise CheckpointError(f"{path}: truncated before the header")
-    (version,) = struct.unpack_from("<I", raw, 8)
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    (header_len,) = struct.unpack_from("<Q", raw, 12)
-    offset = 20 + header_len
-    if offset > len(raw):
-        raise CheckpointError(f"{path}: header length {header_len} runs past the end")
-    try:
-        header = json.loads(raw[20:offset].decode("utf-8"))
-    except (ValueError, RecursionError) as e:   # RecursionError: nested past the limit
-        raise CheckpointError(f"{path}: unreadable header ({e})") from None
-    entries = header.get("entries") if isinstance(header, dict) else None
-    if not isinstance(entries, list):
-        raise CheckpointError(f"{path}: header has no entries list")
-    state: dict[str, np.ndarray] = {}
-    for entry in entries:
-        shape = entry.get("shape") if type(entry) is dict else None
-        if not (type(shape) is list and type(entry.get("name")) is str
-                and all(type(d) is int and d >= 0 for d in shape)):
-            raise CheckpointError(f"{path}: header entry needs a name and an integer shape")
-        if entry["name"] in state:
-            raise CheckpointError(f"{path}: header names {entry['name']!r} twice")
-        shape = tuple(shape)
-        count = math.prod(shape)
-        end = offset + 8 * count
-        if end > len(raw):
-            raise CheckpointError(f"{path}: truncated payload at {entry['name']!r}")
-        value = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-        if not np.isfinite(value).all():   # training never saves one: it stops at a non-finite loss
-            raise CheckpointError(f"{path}: tensor {entry['name']!r} holds a non-finite value")
-        state[entry["name"]] = value.copy()
-        offset = end
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
+    """The tensors of a parameter file, each read into its own array once it fits."""
+    with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size
+        prefix = f.read(_PREFIX.size)
+        if prefix[:8] != MAGIC:
+            raise CheckpointError(f"{path}: not a parameter file (bad magic)")
+        if end < _PREFIX.size:
+            raise CheckpointError(f"{path}: truncated before the header")
+        _, version, header_len = _PREFIX.unpack(prefix)
+        if version != FORMAT_VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        if header_len > end - f.tell():
+            raise CheckpointError(f"{path}: header length {header_len} runs past the end")
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except (ValueError, RecursionError) as e:   # RecursionError: nested past the limit
+            raise CheckpointError(f"{path}: unreadable header ({e})") from None
+        entries = header.get("entries") if isinstance(header, dict) else None
+        if not isinstance(entries, list):
+            raise CheckpointError(f"{path}: header has no entries list")
+        state: dict[str, np.ndarray] = {}
+        for entry in entries:
+            shape = entry.get("shape") if type(entry) is dict else None
+            if not (type(shape) is list and type(entry.get("name")) is str
+                    and all(type(d) is int and d >= 0 for d in shape)):
+                raise CheckpointError(f"{path}: header entry needs a name and an integer shape")
+            name, size = entry["name"], 8 * math.prod(shape)
+            if name in state:
+                raise CheckpointError(f"{path}: header names {name!r} twice")
+            if size > end - f.tell():
+                raise CheckpointError(f"{path}: truncated payload at {name!r}")
+            try:   # a shape with a zero in it can still be too large for numpy
+                value = np.empty(shape, dtype="<f8")
+            except ValueError as e:
+                raise CheckpointError(f"{path}: tensor {name!r}: {e}") from None
+            f.readinto(value)
+            if not np.isfinite(value).all():   # training never saves one: it stops at a non-finite loss
+                raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
+            state[name] = value
+        if f.tell() != end:
+            raise CheckpointError(f"{path}: {end - f.tell()} trailing bytes")
     return state
 
 
@@ -163,7 +162,7 @@ def save_checkpoint(directory: str | Path, model: HacmModel | HaemModel, aligner
     manifest = build_manifest(model, aligner, dev_accuracy, seed)
     _atomic_write(directory / MANIFEST_NAME,
                   json.dumps(manifest, indent=2, ensure_ascii=False).encode("utf-8"))
-    save_params(directory / PARAMS_NAME, model.params.state_dict())
+    save_params(directory / PARAMS_NAME, {p.name: p.value for p in model.params.nodes()})
 
 
 def load_checkpoint(directory: str | Path) -> tuple[HacmModel | HaemModel, dict]:

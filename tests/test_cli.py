@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: pipelines, config files, exit codes."""
 
 import ast
+import contextlib
+import io
 import json
 import math
 import re
@@ -11,9 +13,12 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hardmono.cli import build_parser, main
 from hardmono.corpus import Sample, parse_dataset, write_dataset
@@ -571,10 +576,13 @@ def _set_weight(name: str, value: float):
     # nested past Python's recursion limit, which json's decoder raises on
     (lambda ckpt: (ckpt / "manifest.json").write_text("[" * 100_000), "manifest.json"),
     (_write_header(b"[" * 100_000), "params.bin"),
+    # no payload byte is missing, but numpy has no array of this shape
+    (_write_header(b'{"entries": [{"name": "w", "shape": [0, %d]}]}' % 10**30), "params.bin"),
 ], ids=["no-hidden", "no-arch", "hidden-str", "hidden-zero", "chars-int", "chars-multi",
         "chars-empty", "chars-repeated", "seed-str", "not-object", "bad-json", "no-entries",
         "no-shape", "float-shape", "header-json", "header-past-end", "short-params",
-        "repeated-name", "nan-weight", "inf-weight", "nested-manifest", "nested-header"])
+        "repeated-name", "nan-weight", "inf-weight", "nested-manifest", "nested-header",
+        "zero-size-too-large"])
 def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys, corrupt, named):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoints / "HACM_smart", ckpt)
@@ -587,12 +595,15 @@ def test_predict_rejects_corrupt_checkpoint(lang, checkpoints, tmp_path, capsys,
     assert not out.exists()
 
 
-def _predict(model, data) -> tuple[int, int]:
-    """The exit code of ``predict`` and the peak bytes Python allocated in it."""
+def _traced(argv) -> tuple[int, list[str], int]:
+    """The exit code of ``main(argv)``, its stderr lines and the peak bytes
+    Python allocated in it."""
+    err = io.StringIO()
     tracemalloc.start()
     try:
-        code = main(["predict", "--model", str(model), "--input", str(data)])
-        return code, tracemalloc.get_traced_memory()[1]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue().splitlines(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -609,7 +620,7 @@ def _predict(model, data) -> tuple[int, int]:
 ], ids=["hacm-hidden", "haem-hidden", "hacm-embed", "haem-embed", "haem-chars",
         "hacm-feat-embed", "hacm-features", "haem-features"])
 def test_predict_checks_manifest_sizes_against_params_before_building(
-        lang, checkpoints, tmp_path, capsys, arch, edit, tensor):
+        lang, checkpoints, tmp_path, arch, edit, tensor):
     """Sizes in a manifest that its params.bin does not hold are a bad
     checkpoint, found at the first tensor that does not fit, before anything
     of that size is made: a hidden size of a million would ask for tens of
@@ -618,12 +629,11 @@ def test_predict_checks_manifest_sizes_against_params_before_building(
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoints / f"{arch}_smart", ckpt)
     _edit_manifest(lambda m: m.update(edit))(ckpt)
-    intact_code, intact_peak = _predict(checkpoints / f"{arch}_smart", lang / "test.tsv")
+    predict = ["predict", "--input", str(lang / "test.tsv"), "--model"]
+    intact_code, _, intact_peak = _traced(predict + [str(checkpoints / f"{arch}_smart")])
     assert intact_code == 0
-    capsys.readouterr()
-    code, peak = _predict(ckpt, lang / "test.tsv")
+    code, lines, peak = _traced(predict + [str(ckpt)])
     assert code == 2 and peak < 2 * intact_peak, (peak, intact_peak)
-    lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {ckpt / 'params.bin'}: "), lines
     assert repr(tensor) in lines[0]
 
@@ -773,3 +783,122 @@ def test_an_empty_data_file_is_a_data_error_before_any_work(lang, checkpoints, t
     assert main(EMPTY_FILE[command](str(empty), lang, checkpoints, str(out))) == 2
     assert capsys.readouterr().err == f"error: {empty}: no samples\n"
     assert not out.exists()
+
+
+# --- every file the CLI reads, mutated -----------------------------------------
+# QuickCheck-style properties (Claessen & Hughes, ICFP 2000) over mutated copies
+# of intact inputs: each run exits 0, or with its documented code and exactly one
+# "error:" line, never with an uncaught exception, and allocates at most a fixed
+# multiple of what the intact input's run does.
+
+FUZZ = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+PEAK_MULTIPLE = 2
+
+
+@pytest.fixture(scope="module")
+def fuzz(tmp_path_factory, lang, checkpoints):
+    """A scratch checkpoint, data file and config file, the intact bytes of
+    each, and the traced peaks of the commands that read them."""
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(checkpoints / "HACM_smart", root / "ckpt")
+    shutil.copy(lang / "test.tsv", root / "data.tsv")
+    (root / "config").write_text(f"# align\ndata = {lang / 'dev.tsv'}\naligner = naive\n")
+    paths = SimpleNamespace(params=root / "ckpt" / "params.bin",
+                            manifest=root / "ckpt" / "manifest.json",
+                            data=root / "data.tsv", config=root / "config")
+    argvs = {"predict": ["predict", "--model", str(root / "ckpt"), "--input", str(paths.data)],
+             "align": ["align", "--data", str(lang / "dev.tsv"), "--config", str(paths.config)]}
+    peaks = {}
+    for command, argv in argvs.items():
+        code, err, peaks[command] = _traced(argv)
+        assert code == 0 and not err
+    return SimpleNamespace(paths=paths, argvs=argvs, peaks=peaks,
+                           intact={path: path.read_bytes() for path in vars(paths).values()})
+
+
+def _holds(fuzz, command: str, codes: tuple[int, ...], edited: Path, content: bytes) -> None:
+    """``command`` on the intact files, but with ``content`` in ``edited``,
+    exits 0, or with one of ``codes`` and one error line, within the peak
+    bound."""
+    for path, intact in fuzz.intact.items():
+        path.write_bytes(content if path == edited else intact)
+    code, err, peak = _traced(fuzz.argvs[command])
+    errors = [line for line in err if line.startswith("error:")]
+    assert (code, errors) == (0, []) or (code in codes and len(errors) == 1), (code, err)
+    assert peak <= PEAK_MULTIPLE * fuzz.peaks[command], (peak, fuzz.peaks[command])
+
+
+# edits of a params.bin: a byte flipped, the file cut short, the header length
+# moved, or one tensor's shape replaced; positions wrap around the file
+PARAMS_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 2**16)),
+    st.tuples(st.just("header-length"), st.integers(-8, 8) | st.integers(-2**64, 2**64)),
+    st.tuples(st.just("shape"), st.integers(0, 2**8),
+              st.lists(st.integers(0, 40) | st.sampled_from([2**31, 2**63, 10**30]), max_size=3)))
+
+
+def _params_edit(raw: bytes, edit: tuple) -> bytes:
+    kind, at, *rest = edit
+    (length,) = struct.unpack_from("<Q", raw, 12)
+    if kind == "flip":
+        at %= len(raw)
+        return raw[:at] + bytes([raw[at] ^ rest[0]]) + raw[at + 1:]
+    if kind == "cut":
+        return raw[:at % len(raw)]
+    if kind == "header-length":
+        return raw[:12] + struct.pack("<Q", min(max(length + at, 0), 2**64 - 1)) + raw[20:]
+    entries = json.loads(raw[20:20 + length])["entries"]
+    entries[at % len(entries)]["shape"] = rest[0]
+    header = json.dumps({"entries": entries}).encode()
+    return MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header + raw[20 + length:]
+
+
+@settings(FUZZ, max_examples=40)
+@given(PARAMS_EDITS)
+@example(("shape", 0, [0, 10**30]))
+def test_a_mutated_params_file_is_read_or_rejected(fuzz, edit):
+    params = fuzz.paths.params
+    _holds(fuzz, "predict", (2,), params, _params_edit(fuzz.intact[params], edit))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@FUZZ
+@given(st.data())
+def test_a_manifest_value_of_any_type_is_read_or_rejected(fuzz, data):
+    path = fuzz.paths.manifest
+    manifest = json.loads(fuzz.intact[path])
+    manifest[data.draw(st.sampled_from(sorted(manifest)))] = data.draw(JSON_VALUES)
+    _holds(fuzz, "predict", (2,), path, json.dumps(manifest).encode())
+
+
+def _inserted(data, raw: bytes, pieces: list[bytes]) -> bytes:
+    """``raw`` with a few of ``pieces`` inserted, or cut short."""
+    if data.draw(st.booleans()):
+        return raw[:data.draw(st.integers(0, len(raw)))]
+    for piece in data.draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=3)):
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + piece + raw[at:]
+    return raw
+
+
+@FUZZ
+@given(st.data())
+def test_a_data_file_with_tabs_nuls_or_marks_is_read_or_rejected(fuzz, data):
+    path = fuzz.paths.data
+    _holds(fuzz, "predict", (2,), path, _inserted(data, fuzz.intact[path], [
+        b"\t", b"\x00", b"\xef\xbb\xbf", b"\n", b"\r", b";", b"\xff", "é".encode()]))
+
+
+@FUZZ
+@given(st.data())
+def test_a_mutated_config_file_is_read_or_rejected(fuzz, data):
+    path = fuzz.paths.config
+    _holds(fuzz, "align", (1, 2), path, _inserted(data, fuzz.intact[path], [
+        b"\t", b"\x00", b"\xef\xbb\xbf", b"\n", b"=", b"#", b" ", b"\xff"]))

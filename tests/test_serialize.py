@@ -1,6 +1,8 @@
 """Parameter file format and checkpoint round trips."""
 
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,19 +37,40 @@ def tiny_model(cls, seed=0):
 
 
 def test_params_round_trip_is_exact(tmp_path):
+    """Any array saves as float64 in C order, and loads as such."""
     rng = np.random.default_rng(1)
     state = {
         "matrix": rng.standard_normal((4, 7)),
         "vector": rng.standard_normal(5),
         "scalar": np.array(2.5),
+        "fortran": np.asfortranarray(rng.standard_normal((3, 5))),
+        "float32": rng.standard_normal((2, 3)).astype(np.float32),
+        "int": np.arange(-3, 9).reshape(3, 4),
+        "empty": np.zeros((4, 0)),
     }
     path = tmp_path / "p.bin"
     save_params(path, state)
     loaded = load_params(path)
     assert list(loaded) == list(state)
     for name in state:
+        assert loaded[name].dtype == np.float64 and loaded[name].flags.c_contiguous
         assert loaded[name].shape == state[name].shape
         assert np.array_equal(loaded[name], state[name])
+
+
+def test_params_file_layout_is_the_docstring_table(tmp_path):
+    """Magic, uint32 version, uint64 header length, the JSON header, then
+    each tensor's little-endian float64 values in C order."""
+    state = {"w": np.asfortranarray(np.arange(6.0).reshape(2, 3)), "b": np.array([0.5, -1.0]),
+             "none": np.zeros((0, 3)), "s": np.array(7, dtype=np.int32)}
+    header = json.dumps({"entries": [{"name": "w", "shape": [2, 3]}, {"name": "b", "shape": [2]},
+                                     {"name": "none", "shape": [0, 3]},
+                                     {"name": "s", "shape": []}]}).encode("utf-8")
+    payload = b"".join(struct.pack("<d", x) for x in [0, 1, 2, 3, 4, 5, 0.5, -1, 7])
+    save_params(tmp_path / "p.bin", state)
+    assert (tmp_path / "p.bin").read_bytes() == (b"HMPARAMS" + struct.pack("<I", 1)
+                                                 + struct.pack("<Q", len(header)) + header
+                                                 + payload)
 
 
 def test_params_reject_bad_magic(tmp_path):
@@ -79,6 +102,17 @@ def test_params_reject_truncation_and_trailing(tmp_path):
         load_params(path)
     path.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(CheckpointError, match="trailing"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("shape", [[0, 10**30], [0, 2**62], [2**40, 0, 2**40]])
+def test_params_reject_a_zero_size_shape_numpy_cannot_make(tmp_path, shape):
+    """No payload byte belongs to such a tensor, but numpy has no array of
+    its shape: the error names the file and the tensor."""
+    header = json.dumps({"entries": [{"name": "w", "shape": shape}]}).encode("utf-8")
+    path = tmp_path / "p.bin"
+    path.write_bytes(MAGIC + struct.pack("<IQ", 1, len(header)) + header)
+    with pytest.raises(CheckpointError, match=r"p\.bin: tensor 'w': "):
         load_params(path)
 
 
@@ -196,3 +230,28 @@ def test_a_failed_atomic_write_leaves_no_temp_file(tmp_path):
 def test_params_file_starts_with_magic(tmp_path):
     save_params(tmp_path / "p.bin", {"a": np.zeros(1)})
     assert (tmp_path / "p.bin").read_bytes()[:8] == MAGIC
+
+
+def _peak(call) -> int:
+    """The peak bytes Python allocated while ``call()`` ran."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cls", [HacmModel, HaemModel])
+def test_a_checkpoint_moves_each_tensor_once(tmp_path, cls):
+    """Saving writes the parameters' own arrays and copies none of them;
+    loading reads each tensor straight into the array the model keeps, so
+    a load holds the weights about once, not the whole file besides."""
+    vocab, feats = build_vocab(SAMPLES)
+    model = cls(vocab, feats, ModelConfig(hidden=100, embed=100, feat_embed=20),
+                np.random.default_rng(0))
+    weights = sum(p.value.nbytes for p in model.params.nodes())
+    save_peak = _peak(lambda: save_checkpoint(tmp_path, model, "smart"))
+    load_peak = _peak(lambda: load_checkpoint(tmp_path))
+    assert save_peak < 0.1 * weights, (save_peak, weights)
+    assert load_peak <= 1.2 * weights, (load_peak, weights)
