@@ -56,8 +56,9 @@ def _prediction_lines(samples: list[Sample], predictions: list[str]) -> str:
 
 
 def _read_predictions(path: str) -> list[str]:
-    """One prediction per line: the middle column of a three-column row,
-    otherwise the whole line.  Tolerates empty predictions."""
+    """One prediction per line: the second column of a row with two or more
+    tab-separated columns, otherwise the whole line.  Tolerates empty
+    predictions."""
     rows = []
     with open_text(path) as f:
         for line in f:

@@ -3,8 +3,8 @@ and a bidirectional encoder.
 
 Layers take one input vector (a decoding step) or a matrix with one input
 per row (a training loss over a whole sequence, or one decoding step of
-many inputs at once). The encoder has one call for both, a matrix of
-inputs in and a matrix of positions out, and one tape-free call that
+many inputs at once). Each LSTM call is one ``numcore.lstm_seq`` op: a
+cell's step or whole sequence, and the encoder's tape-free call that
 encodes a list of inputs together for decoding.
 
 A model's weights come from its generator or from a checkpoint's tensors
@@ -137,8 +137,13 @@ class LstmCell:
 
     def step(self, x: Node, state: tuple[Node, Node]) -> tuple[Node, Node]:
         """The next (h, c) pair; start from (h0, c0). With one input per row
-        of ``x`` and one state per row of h and c, every row steps at once."""
-        return nc.lstm_step(x, self.w, self.b, *state)
+        of ``x`` and one state per row of h and c, every row steps at once,
+        each row a sequence of one step; a vector is one row."""
+        rows = x.value.shape[0] if x.value.ndim == 2 else 1
+        out = nc.lstm_seq(x, self.w, self.b, *state, (rows,))
+        if x.value.ndim == 1:
+            return nc.row(out, 0), nc.row(out, 1)
+        return nc.row(out, slice(0, rows)), nc.row(out, slice(rows, 2 * rows))
 
     def sequence(self, x: Node) -> Node:
         """Outputs for the rows of ``x`` (one input per row), starting from
@@ -148,22 +153,6 @@ class LstmCell:
     def _start_rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``n`` rows of the learned start state (h0, c0), each a copy."""
         return np.tile(self.h0.value, (n, 1)), np.tile(self.c0.value, (n, 1))
-
-    def _packed(self, x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """Hidden states over a time-major batch of inputs, without a tape.
-        Step t reads the next sizes[t] rows of ``x``, one per input still
-        running, and those inputs are the first sizes[t] of the step
-        before; each step is one product over their rows."""
-        h, c = self._start_rows(sizes[0])
-        gates = np.empty((sizes[0], self.b.value.shape[0]))
-        out = np.empty((x.shape[0], h.shape[1]))
-        at = 0
-        for k in sizes:
-            xh = np.concatenate([x[at:at + k], h[:k]], axis=1)
-            c, _, h = nc._lstm_row(self.w.value, self.b.value, xh, c[:k], gates[:k])
-            out[at:at + k] = h
-            at += k
-        return out
 
 
 class BiEncoder:
@@ -197,7 +186,7 @@ class BiEncoder:
         if not lengths.size or not lengths.all():
             raise ValueError("encoder needs nonempty input sequences")
         order = np.argsort(-lengths, kind="stable")
-        sizes = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+        sizes = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0).tolist()
         # stepped row j is input who[j] at step when[j]; the forward direction
         # reads its position when[j] there, the backward one position back[j]
         who = np.concatenate([order[:k] for k in sizes])
@@ -207,10 +196,15 @@ class BiEncoder:
         start = np.cumsum(lengths) - lengths         # of each input in x
         width = lengths + (tail is not None)         # of each input in the table
         first = np.cumsum(width) - width
+
+        def run(cell: LstmCell, at: np.ndarray) -> np.ndarray:   # h of every stepped row
+            with nc.no_grad():
+                return nc.lstm_seq(nc.constant(x[start[who] + at]), cell.w, cell.b,
+                                   cell.h0, cell.c0, sizes).value[:len(who)]
         hs = self.fwd.h0.value.shape[0]
         out = np.empty((width.sum(), 2 * hs))
-        out[first[who] + when, :hs] = self.fwd._packed(x[start[who] + when], sizes)
-        out[first[who] + back, hs:] = self.bwd._packed(x[start[who] + back], sizes)
+        out[first[who] + when, :hs] = run(self.fwd, when)
+        out[first[who] + back, hs:] = run(self.bwd, back)
         if tail is not None:
             out[first + lengths] = tail
         return out, first

@@ -10,14 +10,14 @@ Ops work on vectors and, where a loss needs row-wise work, on matrices
 with one time step per row. The teacher-forced training losses of both
 models are built from such whole-sequence ops: ``lstm_seq`` runs an LSTM
 over all rows with a hand-written backward pass through time, and each
-model's output head runs on all rows at once.
+model's output head runs on all rows at once. ``lstm_seq``, the one LSTM
+op, also runs packed sequences: one LSTM step of B rows, or many inputs.
 
-Greedy decoding steps the same ops one vector at a time, with
-``lstm_step`` as one op per LSTM step, inside ``no_grad``: there every op
-builds a node with no parents and no backward rule, so no tape is kept
-and each value is freed as soon as the decoder drops it. Decoding a list
-in lockstep runs them on one row per input, and ``lstm_step`` then steps
-every row with one matrix product.
+Greedy decoding steps the same ops one vector at a time inside
+``no_grad``: there every op builds a node with no parents and no backward
+rule, so no tape is kept and each value is freed as soon as the decoder
+drops it. Decoding a list in lockstep runs them on one row per input, and
+an LSTM step then steps every row with one matrix product.
 """
 
 from __future__ import annotations
@@ -210,30 +210,36 @@ def vstack(parts: Sequence[Node]) -> Node:
     return _op("vstack", np.vstack([p.value for p in parts]), tuple(parts), grads)
 
 
-def row(m: Node, index: int | np.ndarray) -> Node:
-    """Row of a 2-D table (embedding lookup). An index array gathers one
-    row per entry into a matrix; backward scatter-adds into the rows used.
-    A bad index is an error."""
+def row(m: Node, index: int | slice | np.ndarray) -> Node:
+    """Row of a 2-D table (embedding lookup). A slice ``slice(lo, hi)``
+    takes rows lo .. hi-1, and an index array gathers one row per entry;
+    either gives a matrix. Backward writes into the rows used, and
+    scatter-adds for an index array. A bad index is an error."""
     if m.value.ndim != 2:
         _shape_error("row (2-D table)", m)
+    n = m.value.shape[0]
     if type(index) is int or isinstance(index, np.integer):  # the common case, checked cheaply
-        bad = not 0 <= index < m.value.shape[0]
+        bad = not 0 <= index < n
+    elif isinstance(index, slice):
+        bad = index.indices(n) != (index.start, index.stop, 1) or index.start > index.stop
     else:
         index = np.asarray(index)
         if index.ndim > 1 or not np.issubdtype(index.dtype, np.integer):
             raise IndexError(f"row index must be an integer or a 1-D integer array, got {index!r}")
-        bad = index.size and not (0 <= index.min() and index.max() < m.value.shape[0])
+        bad = index.size and not (0 <= index.min() and index.max() < n)
     if bad:
         raise IndexError(f"row {index} out of range for table {m.value.shape}")
+    gather = isinstance(index, np.ndarray)
 
     def grads(g):
         gm = np.zeros_like(m.value)
-        if np.ndim(index):
+        if gather:
             np.add.at(gm, index, g)
         else:
             gm[index] = g
         return (gm,)
-    return _op("row", m.value[index].copy(), (m,), grads)
+    # a gather already copies; a basic index is a view of the table
+    return _op("row", m.value[index] if gather else m.value[index].copy(), (m,), grads)
 
 
 def pick(a: Node, index: int | np.ndarray) -> Node:
@@ -305,114 +311,93 @@ def softmax(a: Node, valid: np.ndarray | None = None) -> Node:
 
 def _lstm_row(w: np.ndarray, b: np.ndarray, xh: np.ndarray, c: np.ndarray,
               gates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One LSTM step on arrays, the kernel of ``lstm_seq``, ``lstm_step``
-    and the tape-free batch encoder (gate layout input, forget, output,
-    candidate along 4H). ``xh`` and
-    ``c`` are one row, or B rows stepped by one matrix product. Fills
-    ``gates`` with the gates after their nonlinearities and returns the new
-    cell state, its tanh and the new hidden state."""
-    hs = c.shape[-1]
-    z = w @ xh + b if xh.ndim == 1 else xh @ w.T + b
-    gates[..., :3 * hs] = _sigmoid(z[..., :3 * hs])
-    gates[..., 3 * hs:] = np.tanh(z[..., 3 * hs:])
-    i, f, o, g = (gates[..., :hs], gates[..., hs:2 * hs], gates[..., 2 * hs:3 * hs],
-                  gates[..., 3 * hs:])
+    """One LSTM step of B rows with one matrix product, the kernel of
+    ``lstm_seq`` (gates input, forget, output, candidate along 4H). Fills
+    ``gates`` after the nonlinearities; returns the new c, its tanh and h."""
+    hs = c.shape[1]
+    z = np.dot(xh, w.T) + b                    # for one row, cheaper than xh @ w.T
+    gates[:, :3 * hs] = _sigmoid(z[:, :3 * hs])
+    gates[:, 3 * hs:] = np.tanh(z[:, 3 * hs:])
+    i, f, o, g = gates[:, :hs], gates[:, hs:2 * hs], gates[:, 2 * hs:3 * hs], gates[:, 3 * hs:]
     c = f * c + i * g
     tanh_c = np.tanh(c)
     return c, tanh_c, o * tanh_c
 
 
-def _lstm_local(gates: np.ndarray, c_prev: np.ndarray,
-                tanh_c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each row of cached LSTM steps: ``local``, which turns the
-    gradients (dc, dh) into dz = local * [dc; dc; dh; dc] along the four
-    gates; dc/dh through the output gate; and the forget gate, which
-    carries dc to the previous cell state."""
-    i, f, o, g = gates.reshape(-1, 4, c_prev.shape[-1]).transpose(1, 0, 2)
-    local = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
-                      tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
-    return local, o * (1.0 - tanh_c * tanh_c), f
+def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node,
+             sizes: Sequence[int] | None = None) -> Node:
+    """An LSTM over the rows of ``x`` (a vector is one row) as one op.
 
+    Without ``sizes`` the rows are one sequence and the result is its hidden
+    states. With ``sizes`` they are packed sequences, longest first and
+    time-major: step t reads the next sizes[t] rows, one per sequence still
+    running, and the result holds each row's h, then each sequence's last c.
+    The sequences start from the vectors (h0, c0) or from one row each.
 
-def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node) -> Node:
-    """Hidden states h_1 .. h_T of an LSTM over the T rows of ``x``,
-    started from (h0, c0), as one op.
-
-    Every row runs the kernel shared with ``lstm_step``, so the outputs
-    are bitwise equal to chained steps. The gates are cached, and backward
-    runs the recurrence through time by hand, with one dZᵀ·[X; H_prev]
-    matmul for the weight gradient.
+    Each step is one kernel call on its rows, so a sequence stepped alone
+    gives the bits of chained vector steps. On the tape every row's gates
+    and cell states are kept; backward runs the recurrence through time by
+    hand, with one dZᵀ·[X; H_prev] matmul for the weight gradient.
     """
-    hs = h0.value.shape[0] if h0.value.ndim == 1 else -1
-    if (x.value.ndim != 2 or x.value.shape[0] == 0 or hs < 1 or c0.value.shape != (hs,)
-            or w.value.shape != (4 * hs, x.value.shape[1] + hs) or b.value.shape != (4 * hs,)):
-        _shape_error("lstm_seq (x, w, b, h0, c0)", x, w, b, h0, c0)
-    steps, width = x.value.shape
-    xh = np.empty((steps, width + hs))         # [x_t; h_{t-1}] per row
-    gates = np.empty((steps, 4 * hs))          # i, f, o, g after their nonlinearities
-    cells = np.empty((steps + 1, hs))          # c_0 .. c_T
-    tanh_c = np.empty((steps, hs))
-    out_value = np.empty((steps, hs))
-    xh[:, :width] = x.value
-    h, c = h0.value, c0.value
-    cells[0] = c
-    for t in range(steps):
-        xh[t, width:] = h
-        c, tanh_c[t], h = _lstm_row(w.value, b.value, xh[t], c, gates[t])
-        cells[t + 1] = c
-        out_value[t] = h
+    xv, hv, cv = x.value, h0.value, c0.value
+    rows = xv.shape[0] if xv.ndim == 2 else 1
+    packed = sizes is not None
+    sizes = sizes if packed else (1,) * rows
+    hs = hv.shape[-1] if hv.ndim in (1, 2) else -1
+    if (xv.ndim not in (1, 2) or not sizes or sizes[-1] < 1 or sum(sizes) != rows or hs < 1
+            or cv.shape != hv.shape or hv.shape not in ((hs,), (sizes[0], hs))
+            or list(sizes) != sorted(sizes, reverse=True)
+            or w.value.shape != (4 * hs, xv.shape[-1] + hs) or b.value.shape != (4 * hs,)):
+        _shape_error(f"lstm_seq (x, w, b, h0, c0; sizes {sizes})", x, w, b, h0, c0)
+    seqs, width = sizes[0], xv.shape[-1]
+    record = not _NO_GRAD and any(p.requires_grad for p in (x, w, b, h0, c0))
+    xh = np.empty((rows, width + hs))          # [x_t; h_{t-1}] per row
+    xh[:, :width] = xv
+    gates = np.empty((rows if record else seqs, 4 * hs))   # i, f, o, g after their nonlinearities
+    c_in, tanh_c, h_out, c_last = [], [], [], []           # per step, and per ended sequence
+    c, h, at = cv.reshape(-1, hs), hv.reshape(-1, hs), 0
+    for k in sizes:
+        xh[at:at + k, width:] = h[:k]          # a shared start fills every row
+        if k < len(c):                         # sequences k.. have ended
+            c_last.append(c[k:])
+            c = c[:k]
+        c_in.append(c)
+        c, tc, h = _lstm_row(w.value, b.value, xh[at:at + k], c,
+                             gates[at:at + k] if record else gates[:k])
+        tanh_c.append(tc)
+        h_out.append(h)
+        at += k
+    c_last.append(c)
+    out_value = np.concatenate(h_out + c_last[::-1] if packed else h_out)
 
     def grads(g):
-        local, dc_dh, f = _lstm_local(gates, cells[:-1], tanh_c)
+        c_prev = np.concatenate([np.broadcast_to(c_in[0], tanh_c[0].shape), *c_in[1:]])
+        tanh_rows = np.concatenate(tanh_c)
+        # per row, dz = local * [dc; dc; dh; dc] along the four gates
+        i, f, o, cand = gates.reshape(rows, 4, hs).transpose(1, 0, 2)
+        local = np.stack([cand * i * (1.0 - i), c_prev * f * (1.0 - f),
+                          tanh_rows * o * (1.0 - o), i * (1.0 - cand * cand)], axis=1)
+        dc_dh = o * (1.0 - tanh_rows * tanh_rows)
         w_h = w.value[:, width:].copy()     # contiguous, for the per-step product
-        dz = np.empty((steps, 4 * hs))
-        dz4 = dz.reshape(steps, 4, hs)
-        dh_next, dc_next = np.zeros(hs), np.zeros(hs)
-        for t in range(steps - 1, -1, -1):
-            dh = g[t] + dh_next
-            dc = dh * dc_dh[t] + dc_next
-            np.multiply(local[t], dc, out=dz4[t])
-            np.multiply(local[t, 2], dh, out=dz4[t, 2])
-            dc_next = dc * f[t]
-            dh_next = dz[t] @ w_h
-        dx = (dz @ w.value)[:, :width] if x.requires_grad else None
-        return dx, dz.T @ xh, dz.sum(axis=0), dh_next, dc_next
+        dz4 = np.empty((rows, 4, hs))
+        dz = dz4.reshape(rows, 4 * hs)
+        dh_next = np.zeros((seqs, hs))
+        dc_next = g[rows:].copy() if packed else np.zeros((seqs, hs))
+        at = rows
+        for k in reversed(sizes):
+            step = slice(at - k, at)
+            dh = g[step] + dh_next[:k]
+            dc = dh * dc_dh[step] + dc_next[:k]
+            np.multiply(local[step], dc[:, None], out=dz4[step])
+            np.multiply(local[step, 2], dh, out=dz4[step, 2])
+            dc_next[:k] = dc * f[step]
+            dh_next[:k] = dz[step] @ w_h
+            at -= k
+        if hv.ndim == 1 and seqs > 1:          # a shared start: the sum over sequences
+            dh_next, dc_next = dh_next.sum(axis=0), dc_next.sum(axis=0)
+        dx = (dz @ w.value)[:, :width].reshape(xv.shape) if x.requires_grad else None
+        return dx, dz.T @ xh, dz.sum(axis=0), dh_next.reshape(hv.shape), dc_next.reshape(cv.shape)
     return _op("lstm_seq", out_value, (x, w, b, h0, c0), grads)
-
-
-def lstm_step(x: Node, w: Node, b: Node, h: Node, c: Node) -> tuple[Node, Node]:
-    """The hidden and cell states after one LSTM step from (h, c) on the
-    vector ``x``, as one op running the row kernel of ``lstm_seq``.
-
-    With B rows of ``x``, ``h`` and ``c``, it steps B independent states
-    that share the weights with one matrix product: row r of each result
-    is the vector step of row r, to rounding. The op's node holds the new
-    hidden states above the new cell states. Backward steps every row at
-    once, a vector being one row, from the gradients into both states."""
-    hs = h.value.shape[-1] if h.value.ndim in (1, 2) else -1
-    if (x.value.ndim != h.value.ndim or x.value.shape[:-1] != h.value.shape[:-1]
-            or h.value.shape[:-1] == (0,) or hs < 1 or c.value.shape != h.value.shape
-            or w.value.shape != (4 * hs, x.value.shape[-1] + hs) or b.value.shape != (4 * hs,)):
-        _shape_error("lstm_step (x, w, b, h, c)", x, w, b, h, c)
-    xh = np.concatenate([x.value, h.value], axis=-1)
-    gates = np.empty(h.value.shape[:-1] + (4 * hs,))
-    c_new, tanh_c, h_new = _lstm_row(w.value, b.value, xh, c.value, gates)
-
-    def grads(g):
-        local, dc_dh, f = _lstm_local(gates, c.value, tanh_c)
-        dh, dc_out = g.reshape(2, -1, hs)       # per row: into the new h, into the new c
-        dc = dh * dc_dh + dc_out
-        dz4 = local * dc[:, None]
-        dz4[:, 2] = local[:, 2] * dh
-        dz = dz4.reshape(len(dc), -1)
-        dxh = dz @ w.value
-        width = x.value.shape[-1]
-        return (dxh[:, :width].reshape(x.value.shape) if x.requires_grad else None,
-                dz.T @ xh.reshape(len(dc), -1), dz.sum(axis=0),
-                dxh[:, width:].reshape(h.value.shape), (dc * f).reshape(c.value.shape))
-    out = _op("lstm_step", np.array([h_new, c_new]).reshape(-1, hs), (x, w, b, h, c), grads)
-    index = 0 if h.value.ndim == 1 else np.arange(len(h_new))
-    return row(out, index), row(out, index + len(out.value) // 2)
 
 
 def dropout(a: Node, rate: float, rng: np.random.Generator) -> Node:

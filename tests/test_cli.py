@@ -194,7 +194,11 @@ def test_ensemble_external_wins_run5(lang, checkpoints, tmp_path, capsys):
     dev_samples = parse_dataset(str(lang / "dev.tsv"))
     ext_test = tmp_path / "ext_test.txt"
     ext_dev = tmp_path / "ext_dev.txt"
-    ext_test.write_text("".join(s.form + "\n" for s in test_samples))
+    # a prediction is the whole line, or the second column of two or more
+    layouts = [lambda s: s.form, lambda s: f"{s.lemma}\t{s.form}",
+               lambda s: f"{s.lemma}\t{s.form}\t{';'.join(s.features)}",
+               lambda s: f"{s.lemma}\t{s.form}\t{';'.join(s.features)}\tnote"]
+    ext_test.write_text("".join(layouts[k % 4](s) + "\n" for k, s in enumerate(test_samples)))
     ext_dev.write_text("".join(s.form + "\n" for s in dev_samples))
     out = tmp_path / "ens5.tsv"
     code = main(["ensemble", "--run", "5",

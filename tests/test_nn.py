@@ -92,7 +92,7 @@ def test_lstm_zero_weights_zero_output():
 def test_lstm_rejects_wrong_input_size():
     ps, rng = make()
     cell = LstmCell(ps, "lstm", 2, 3)
-    with pytest.raises(ValueError, match="lstm_step"):
+    with pytest.raises(ValueError, match="lstm_seq"):
         cell.step(nc.constant(np.zeros(5)), (cell.h0, cell.c0))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hardmono import numcore as nc
+from hardmono.nn import LstmCell, ParamSet
 
 
 def rng_array(rng, *shape):
@@ -255,6 +256,25 @@ def test_row_scalar_index_forms():
             nc.row(t, bad)
 
 
+def test_row_slice():
+    t = nc.param(np.arange(8.0).reshape(4, 2))
+    block = nc.row(t, slice(1, 3))
+    assert np.array_equal(block.value, [[2.0, 3.0], [4.0, 5.0]])
+    nc.backward(nc.dot(nc.row(block, 1), nc.constant([1.0, -1.0])))
+    assert np.array_equal(t.grad, [[0.0, 0.0], [0.0, 0.0], [1.0, -1.0], [0.0, 0.0]])
+    assert nc.row(t, slice(2, 2)).value.shape == (0, 2)
+    for bad in (slice(None, 2), slice(1, 5), slice(-1, 4), slice(3, 1), slice(0, 4, 2)):
+        with pytest.raises(IndexError):
+            nc.row(t, bad)
+
+
+@pytest.mark.parametrize("index", [1, np.int64(1), slice(0, 2), np.array([2, 0, 2])],
+                         ids=["int", "numpy-int", "slice", "index-array"])
+def test_row_shares_no_memory_with_its_table(index):
+    t = nc.param(np.arange(6.0).reshape(3, 2))
+    assert not np.shares_memory(nc.row(t, index).value, t.value)
+
+
 def test_gradient_accumulates_across_reuse():
     x = nc.param(3.0)
     nc.backward(nc.add(nc.scale(x, x), nc.scale(x, x)))  # d/dx 2x^2 = 4x
@@ -379,26 +399,32 @@ def test_lstm_seq_grad_check():
     assert nc.grad_check(f, [w, b, h0, c0, x]) < 1e-6
 
 
+def _cell(w, b):
+    """An LSTM cell on the weights ``w`` and ``b``; its learned start is zero."""
+    hs = b.shape[0] // 4
+    state = {"lstm.w": w, "lstm.b": b, "lstm.h0": np.zeros(hs), "lstm.c0": np.zeros(hs)}
+    return LstmCell(ParamSet(state), "lstm", w.shape[1] - hs, hs)
+
+
 def test_lstm_step_grad_check_into_both_states():
-    """The fused step's gradients, including those into the incoming h and
-    c, with a loss that reads both new states."""
+    """A cell step's gradients, including those into the incoming h and c,
+    with a loss that reads both new states."""
     rng = random.Random(15)
     hs, width = 3, 2
-    w = nc.param(rng_array(rng, 4 * hs, width + hs))
-    b = nc.param(rng_array(rng, 4 * hs))
+    cell = _cell(rng_array(rng, 4 * hs, width + hs), rng_array(rng, 4 * hs))
     h = nc.param(rng_array(rng, hs))
     c = nc.param(rng_array(rng, hs))
     x = nc.param(rng_array(rng, width))
     wh, wc = nc.constant(rng_array(rng, hs)), nc.constant(rng_array(rng, hs))
 
     def f():
-        h1, c1 = nc.lstm_step(x, w, b, h, c)
-        h2, c2 = nc.lstm_step(x, w, b, h1, c1)
+        h1, c1 = cell.step(x, (h, c))
+        h2, c2 = cell.step(x, (h1, c1))
         return nc.add(nc.dot(h2, wh), nc.dot(nc.add(c1, c2), wc))
 
-    assert nc.grad_check(f, [w, b, h, c, x]) < 1e-6
-    with pytest.raises(ValueError, match="lstm_step"):
-        nc.lstm_step(nc.constant(np.zeros(3)), w, b, h, c)
+    assert nc.grad_check(f, [cell.w, cell.b, h, c, x]) < 1e-6
+    with pytest.raises(ValueError, match="lstm_seq"):
+        cell.step(nc.constant(np.zeros(3)), (h, c))
 
 
 # one product over B rows rounds differently from B vector products; each
@@ -411,13 +437,13 @@ LOCKSTEP_ATOL = 1e-12
                                                  (100, 100, 13)])
 def test_lstm_step_rows_match_vector_steps(width, hidden, rows):
     rng = np.random.default_rng(width + rows)
-    w = nc.constant(rng.uniform(-0.5, 0.5, size=(4 * hidden, width + hidden)))
-    b = nc.constant(rng.uniform(-0.5, 0.5, size=4 * hidden))
+    cell = _cell(rng.uniform(-0.5, 0.5, size=(4 * hidden, width + hidden)),
+                 rng.uniform(-0.5, 0.5, size=4 * hidden))
     x, h, c = (rng.uniform(-2, 2, size=(rows, n)) for n in (width, hidden, hidden))
-    h_rows, c_rows = nc.lstm_step(nc.constant(x), w, b, nc.constant(h), nc.constant(c))
+    h_rows, c_rows = cell.step(nc.constant(x), (nc.constant(h), nc.constant(c)))
     assert h_rows.shape == c_rows.shape == (rows, hidden)
     for r in range(rows):
-        h_r, c_r = nc.lstm_step(nc.constant(x[r]), w, b, nc.constant(h[r]), nc.constant(c[r]))
+        h_r, c_r = cell.step(nc.constant(x[r]), (nc.constant(h[r]), nc.constant(c[r])))
         assert np.allclose(h_rows.value[r], h_r.value, rtol=0, atol=LOCKSTEP_ATOL)
         assert np.allclose(c_rows.value[r], c_r.value, rtol=0, atol=LOCKSTEP_ATOL)
 
@@ -425,8 +451,7 @@ def test_lstm_step_rows_match_vector_steps(width, hidden, rows):
 def test_lstm_step_rows_grad_check_into_both_states():
     rng = random.Random(16)
     hs, width, rows = 3, 2, 4
-    w = nc.param(rng_array(rng, 4 * hs, width + hs))
-    b = nc.param(rng_array(rng, 4 * hs))
+    cell = _cell(rng_array(rng, 4 * hs, width + hs), rng_array(rng, 4 * hs))
     h = nc.param(rng_array(rng, rows, hs))
     c = nc.param(rng_array(rng, rows, hs))
     x = nc.param(rng_array(rng, rows, width))
@@ -436,26 +461,116 @@ def test_lstm_step_rows_grad_check_into_both_states():
         return nc.concat([nc.row(m, r) for r in range(rows)])
 
     def f():
-        h1, c1 = nc.lstm_step(x, w, b, h, c)
-        h2, c2 = nc.lstm_step(x, w, b, h1, c1)
+        h1, c1 = cell.step(x, (h, c))
+        h2, c2 = cell.step(x, (h1, c1))
         return nc.add(nc.dot(flat(h2), wh), nc.dot(flat(nc.add(c1, c2)), wc))
 
-    assert nc.grad_check(f, [w, b, h, c, x]) < 1e-6
+    assert nc.grad_check(f, [cell.w, cell.b, h, c, x]) < 1e-6
 
 
 @pytest.mark.parametrize("x, h, c", [
     ((3, 2), (4, 3), (4, 3)),     # rows of x and of the states differ
     ((4, 2), (4, 3), (3, 3)),     # rows of h and c differ
-    ((4, 2), (3,), (3,)),         # rows of x, vector states
     ((2,), (4, 3), (4, 3)),       # a vector x, rows of states
     ((0, 2), (0, 3), (0, 3)),     # no rows
     ((4, 3), (4, 3), (4, 3)),     # x wider than the weight
-], ids=["x-rows", "c-rows", "vector-states", "vector-x", "no-rows", "x-width"])
+], ids=["x-rows", "c-rows", "vector-x", "no-rows", "x-width"])
 def test_lstm_step_rows_shape_errors(x, h, c):
-    w, b = nc.constant(np.zeros((12, 5))), nc.constant(np.zeros(12))
+    cell = _cell(np.zeros((12, 5)), np.zeros(12))
     x, h, c = (nc.constant(np.zeros(shape)) for shape in (x, h, c))
-    with pytest.raises(ValueError, match="lstm_step"):
-        nc.lstm_step(x, w, b, h, c)
+    with pytest.raises(ValueError, match="lstm_seq"):
+        cell.step(x, (h, c))
+
+
+def test_lstm_seq_rows_from_vector_states_are_one_sequence():
+    """Rows of x with vector states are one sequence to the op, and B
+    sequences of one step from a shared start to a cell step."""
+    rng = np.random.default_rng(4)
+    cell = _cell(rng.uniform(-1, 1, size=(12, 5)), rng.uniform(-1, 1, 12))
+    x, h, c = (nc.constant(rng.uniform(-1, 1, size=shape)) for shape in ((4, 2), 3, 3))
+    out = nc.lstm_seq(x, cell.w, cell.b, h, c)
+    h_rows, c_rows = cell.step(x, (h, c))
+    state = (h, c)
+    for t in range(4):
+        state = cell.step(nc.row(x, t), state)
+        assert np.array_equal(out.value[t], state[0].value)
+        h_t, c_t = cell.step(nc.row(x, t), (h, c))
+        assert np.allclose(h_rows.value[t], h_t.value, rtol=0, atol=LOCKSTEP_ATOL)
+        assert np.allclose(c_rows.value[t], c_t.value, rtol=0, atol=LOCKSTEP_ATOL)
+
+
+def _packed(xs):
+    """The rows of the sequences ``xs``, longest first, packed time-major,
+    and the packed sizes."""
+    sizes = [sum(len(x) > t for x in xs) for t in range(len(xs[0]))]
+    return np.array([x[t] for t in range(len(xs[0])) for x in xs if len(x) > t]), sizes
+
+
+def _alone(w, b, x, h, c):
+    """The hidden states and the last cell state of one sequence, by
+    chained vector steps."""
+    cell, state, hs = _cell(w, b), (nc.constant(h), nc.constant(c)), []
+    for row in x:
+        state = cell.step(nc.constant(row), state)
+        hs.append(state[0].value)
+    return np.array(hs), state[1].value
+
+
+@pytest.mark.parametrize("starts", ["shared", "per-row"])
+def test_lstm_seq_packed_sequences_match_each_run_alone(starts):
+    rng = np.random.default_rng(5)
+    hidden, width = 7, 4
+    w = rng.uniform(-0.5, 0.5, size=(4 * hidden, width + hidden))
+    b = rng.uniform(-0.5, 0.5, size=4 * hidden)
+    xs = [rng.uniform(-2, 2, size=(n, width)) for n in (6, 4, 4, 1)]
+    shape = (hidden,) if starts == "shared" else (len(xs), hidden)
+    h0, c0 = rng.uniform(-1, 1, size=shape), rng.uniform(-1, 1, size=shape)
+    x, sizes = _packed(xs)
+    out = nc.lstm_seq(nc.constant(x), nc.constant(w), nc.constant(b), nc.constant(h0),
+                      nc.constant(c0), sizes).value
+    assert out.shape == (len(x) + len(xs), hidden)
+    at = np.cumsum([0] + sizes[:-1])
+    for s, seq in enumerate(xs):
+        start = (h0, c0) if starts == "shared" else (h0[s], c0[s])
+        h, c = _alone(w, b, seq, *start)
+        assert np.allclose(out[at[:len(seq)] + s], h, rtol=0, atol=LOCKSTEP_ATOL)
+        assert np.allclose(out[len(x) + s], c, rtol=0, atol=LOCKSTEP_ATOL)
+
+
+@pytest.mark.parametrize("starts", ["shared", "per-row"])
+def test_lstm_seq_packed_grad_check(starts):
+    """Two packed sequences from a shared start or from one row each, with
+    a loss that reads every hidden state and the shorter one's last c."""
+    rng = random.Random(18)
+    hs, width = 3, 2
+    w = nc.param(rng_array(rng, 4 * hs, width + hs))
+    b = nc.param(rng_array(rng, 4 * hs))
+    shape = (hs,) if starts == "shared" else (2, hs)
+    h0, c0 = nc.param(rng_array(rng, *shape)), nc.param(rng_array(rng, *shape))
+    x = nc.param(rng_array(rng, 7, width))   # lengths 5 and 2: sizes 2, 2, 1, 1, 1
+    weights = nc.constant(rng_array(rng, 7 * hs))
+    wc = nc.constant(rng_array(rng, hs))
+
+    def f():
+        out = nc.lstm_seq(x, w, b, h0, c0, [2, 2, 1, 1, 1])
+        hidden = nc.concat([nc.row(out, t) for t in range(7)])
+        return nc.add(nc.dot(hidden, weights), nc.dot(nc.row(out, 8), wc))
+
+    assert nc.grad_check(f, [w, b, h0, c0, x]) < 1e-6
+
+
+@pytest.mark.parametrize("x, h, sizes", [
+    ((6, 2), (3,), [3, 2]),        # the sizes cover five rows of six
+    ((6, 2), (3,), [2, 3, 1]),     # a step runs more sequences than the step before
+    ((6, 2), (3,), [3, 3, 0]),     # a step runs none
+    ((6, 2), (2, 3), [3, 2, 1]),   # start rows for two of three sequences
+    ((0, 2), (3,), []),            # no steps
+], ids=["sizes-sum", "sizes-grow", "sizes-zero", "start-rows", "no-steps"])
+def test_lstm_seq_packing_errors(x, h, sizes):
+    w, b = nc.constant(np.zeros((12, 5))), nc.constant(np.zeros(12))
+    x, h = nc.constant(np.zeros(x)), nc.constant(np.zeros(h))
+    with pytest.raises(ValueError, match="lstm_seq"):
+        nc.lstm_seq(x, w, b, h, h, sizes)
 
 
 def test_no_grad_builds_no_tape():
@@ -495,18 +610,17 @@ OPS = {
     "masked_softmax": (lambda a: nc.softmax(a, np.array([True, False, True])),   # a softmax node
                        _values(3)),
     "lstm_seq": (nc.lstm_seq, _values((4, 2), (12, 5), 12, 3, 3)),
-    "lstm_step": (nc.lstm_step, _values(2, (12, 5), 12, 3, 3)),
-    "lstm_step_rows": (nc.lstm_step, _values((4, 2), (12, 5), 12, (4, 3), (4, 3))),
+    "lstm_step": (lambda *a: nc.lstm_seq(*a, (1,)), _values(2, (12, 5), 12, 3, 3)),
+    "lstm_step_rows": (lambda *a: nc.lstm_seq(*a, (4,)),
+                       _values((4, 2), (12, 5), 12, (4, 3), (4, 3))),
+    "lstm_seq_packed": (lambda *a: nc.lstm_seq(*a, (3, 2, 1)),
+                        _values((6, 2), (12, 5), 12, (3, 3), (3, 3))),
     "dropout": (lambda a: nc.dropout(a, 0.5, np.random.default_rng(0)), _values(8)),
 }
 NOT_OPS = {"param", "constant", "no_grad", "backward", "grad_check"}
 PUBLIC = sorted(name for name, obj in vars(nc).items()
                 if inspect.isfunction(obj) and obj.__module__ == nc.__name__
                 and not name.startswith("_") and name not in NOT_OPS)
-
-
-def _results(out):
-    return out if isinstance(out, tuple) else (out,)
 
 
 @pytest.mark.parametrize("name", sorted(set(PUBLIC) | set(OPS)))
@@ -516,10 +630,8 @@ def test_every_op_records_its_inputs_only_on_the_tape(name):
     inputs = [nc.param(v) for v in values]
     taped = build(*inputs)
     node, expected, op = taped, tuple(inputs), name
-    if name.startswith("lstm_step"):   # the two results read the op's node
-        h, c = taped
-        assert h._parents == c._parents and len(h._parents) == 1
-        node, op = h._parents[0], "lstm_step"
+    if name.startswith("lstm"):   # a step, or packed sequences
+        op = "lstm_seq"
     elif name == "masked_softmax":
         op = "softmax"
     elif name == "sub":            # add(a, neg(b))
@@ -533,10 +645,9 @@ def test_every_op_records_its_inputs_only_on_the_tape(name):
     with nc.no_grad():
         free = build(*inputs)
     constant = build(*[nc.constant(v) for v in values])
-    for out in (free, constant):
-        for got, want in zip(_results(out), _results(taped), strict=True):
-            assert got._parents == () and got._backprop is None and not got.requires_grad
-            assert got.value.tobytes() == want.value.tobytes()
+    for got in (free, constant):
+        assert got._parents == () and got._backprop is None and not got.requires_grad
+        assert got.value.tobytes() == taped.value.tobytes()
 
 
 def test_no_grad_restores_the_flag_when_its_block_raises():
@@ -581,8 +692,9 @@ def test_dropped_tape_frees_without_the_cyclic_gc():
         h = nc.constant(rng_array(rng, 3))
         for _ in range(5):
             h = nc.sigmoid(nc.matvec(w, h))
-        h, c = nc.lstm_step(h, nc.param(rng_array(rng, 12, 6)), nc.param(rng_array(rng, 12)),
-                            h, h)
+        out = nc.lstm_seq(h, nc.param(rng_array(rng, 12, 6)), nc.param(rng_array(rng, 12)),
+                          h, h, (1,))
+        h, c = nc.row(out, 0), nc.row(out, 1)
         loss = nc.dot(h, c)
         assert loss.requires_grad
         del h, c, loss
