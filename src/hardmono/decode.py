@@ -17,9 +17,10 @@ output-head call per step. Both loops apply the same decode rules
 its rule ends it, so a finished row steps no LSTM again. A batch of one
 computes exactly what ``greedy_decode`` computes: each step runs the same
 formulas on one row as on a vector (an LSTM step is one ``lstm_seq`` call
-either way), bit for bit. A larger batch matches only to rounding (the
-tests allow 1e-12), because BLAS blocks a product by its row count, so
-the predictions are the same unless two actions tie that closely.
+either way, and HACM's decoder reads input tables of the same products),
+bit for bit. A larger batch matches only to rounding (the tests allow
+1e-12), because BLAS blocks a product by its row count, so the
+predictions are the same unless two actions tie that closely.
 """
 
 from __future__ import annotations

@@ -11,6 +11,12 @@ with w a sigmoid gate of [h_i; f; E(prev); s_t]. STEP moves the attention
 index; WRITE emits without moving it. An attended character unseen in
 training has no WRITE id, so decoding copies it outright with probability
 one and then treats STEP as the previous action.
+
+Because attention is hard, a decoder input is one of few values: one of
+the action embeddings, one frame row, and the features of the whole
+decode. Decoding projects them through the decoder's input weights once,
+as two tables (``_tables``), and each step adds one row of each; the
+training loss runs whole inputs through the full product.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ class HacmState:
 
     frame: Node = field(repr=False)      # rows h_0 .. h_{n+1} over BOS + lemma + EOS
     feat_vec: Node = field(repr=False)
+    tables: tuple[Node, Node] = field(repr=False)  # decoder input projections (``_tables``)
     ex: HacmExecutor                     # owns the lemma and the attention index
     lstm: tuple[Node, Node]              # (s_t, c_t)
     prev_emb: Node | None = None
@@ -118,8 +125,25 @@ class HacmModel:
         table = self.char_emb.table.value
         return self.encoder.encode_all([table[self._frame_ids(lemma)] for lemma in lemmas])
 
+    def _tables(self, frames: Node, feats: Node, owner: np.ndarray | None = None
+                ) -> tuple[Node, Node]:
+        """The decoder's input projections, each part through its own
+        column block of dec.w, as two tables: one row per action embedding,
+        and one per row of ``frames`` with the bias and the projection of
+        its input's features ``feats`` added (a vector; or one row per
+        input, of which frame row j belongs to input owner[j]). A step's
+        input [E(prev); h_i; f] projects to its action's row plus its
+        attended row."""
+        e, h = self.config.embed, self.config.hidden
+        dec = self.decoder
+        feat_proj = nc.add(dec.project(feats, e + 2 * h), dec.b)
+        if owner is not None:
+            feat_proj = nc.row(feat_proj, owner)
+        return dec.project(self.act_emb.table, 0), nc.add(dec.project(frames, e), feat_proj)
+
     def start(self, lemma: str, features: tuple[str, ...]) -> HacmState:
-        return HacmState(self._frame(lemma), self.feature_vector(features),
+        frame, feat_vec = self._frame(lemma), self.feature_vector(features)
+        return HacmState(frame, feat_vec, self._tables(frame, feat_vec),
                          HacmExecutor(lemma), (self.decoder.h0, self.decoder.c0))
 
     def lockstep(self, inputs: Sequence[tuple[str, tuple[str, ...]]]
@@ -133,17 +157,21 @@ class HacmModel:
         writes only the rows it is given."""
         frames, first = self._frames([lemma for lemma, _ in inputs])
         feats = nc.vstack([self.feature_vector(features) for _, features in inputs])
+        # the input of each frame row
+        owner = np.repeat(np.arange(len(inputs)), np.diff(first, append=len(frames)))
+        acts, rows_proj = self._tables(nc.constant(frames), feats, owner)
         h, c = self.decoder._start_rows(len(inputs))
         exs = [HacmExecutor(lemma) for lemma, _ in inputs]
 
         def step(rows: list[int], actions: list[Action]) -> list[np.ndarray | None]:
             for r, action in zip(rows, actions):
                 exs[r] = exs[r].apply(action)
-            emb = self.act_emb(np.array([self.codec.ids[a] for a in actions]))
-            attended = nc.constant(frames[first[rows] + np.array([exs[r].i for r in rows])])
-            feat = nc.row(feats, rows)
-            lstm = self.decoder.step(nc.concat([emb, attended, feat]),
-                                     (nc.constant(h[rows]), nc.constant(c[rows])))
+            ids = np.array([self.codec.ids[a] for a in actions])
+            at = first[rows] + np.array([exs[r].i for r in rows])
+            emb, attended, feat = self.act_emb(ids), nc.constant(frames[at]), nc.row(feats, rows)
+            x = nc.add(nc.row(acts, ids), nc.row(rows_proj, at))
+            lstm = self.decoder.step(x, (nc.constant(h[rows]), nc.constant(c[rows])),
+                                     projected=True)
             h[rows], c[rows] = lstm[0].value, lstm[1].value
             copy_ids = [self.codec.ids.get(exs[r].frame_symbol()) for r in rows]
             # the head runs on every row; one attending an out-of-vocabulary
@@ -160,10 +188,11 @@ class HacmModel:
         """Consume the action emitted at the previous time step: move the
         attention index if it was STEP, then advance the decoder LSTM."""
         ex = state.ex.apply(self.codec.action_of(action_id))
-        emb = self.act_emb(action_id)
-        attended = nc.row(state.frame, ex.i)
-        lstm = self.decoder.step(nc.concat([emb, attended, state.feat_vec]), state.lstm)
-        return replace(state, ex=ex, lstm=lstm, prev_emb=emb, attended=attended)
+        acts, rows_proj = state.tables
+        x = nc.add(nc.row(acts, action_id), nc.row(rows_proj, ex.i))
+        lstm = self.decoder.step(x, state.lstm, projected=True)
+        return replace(state, ex=ex, lstm=lstm, prev_emb=self.act_emb(action_id),
+                       attended=nc.row(state.frame, ex.i))
 
     def copy_action_id(self, state: HacmState) -> int | None:
         """Action id equivalent to copying the attended frame symbol; None
@@ -194,10 +223,7 @@ class HacmModel:
         p_gen = nc.softmax(self.gen(s))
         gate = self.gate(nc.concat([attended, feats, prev_emb, s]))
         w = nc.sigmoid(nc.pick(gate, np.zeros(s.shape[:-1], dtype=int)))
-        point = np.arange(self.codec.size) == np.asarray(copy_ids)[..., None]
-        return nc.add(nc.scale(w, p_gen),
-                      nc.scale(nc.sub(nc.constant(np.ones(w.shape)), w),
-                               nc.constant(point.astype(float))))
+        return nc.mixture(w, p_gen, copy_ids)
 
     # --- training objective ---
 

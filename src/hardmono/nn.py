@@ -5,7 +5,8 @@ Layers take one input vector (a decoding step) or a matrix with one input
 per row (a training loss over a whole sequence, or one decoding step of
 many inputs at once). Each LSTM call is one ``numcore.lstm_seq`` op: a
 cell's step or whole sequence, and the encoder's tape-free call that
-encodes a list of inputs together for decoding.
+encodes a list of inputs together for decoding. A cell step can read its
+input already projected, summed from ``LstmCell.project`` blocks.
 
 A model's weights come from its generator or from a checkpoint's tensors
 (``ParamSet``). Drawn weights are uniform(-0.1, 0.1); biases start at zero
@@ -135,15 +136,28 @@ class LstmCell:
         self.h0 = params.uniform(f"{name}.h0", (h,))
         self.c0 = params.uniform(f"{name}.c0", (h,))
 
-    def step(self, x: Node, state: tuple[Node, Node]) -> tuple[Node, Node]:
+    def step(self, x: Node, state: tuple[Node, Node], projected: bool = False
+             ) -> tuple[Node, Node]:
         """The next (h, c) pair; start from (h0, c0). With one input per row
         of ``x`` and one state per row of h and c, every row steps at once,
-        each row a sequence of one step; a vector is one row."""
+        each row a sequence of one step; a vector is one row. When
+        ``projected``, x holds each input's projection W_x·x + b instead,
+        summed from ``project`` blocks, and only W_h·h is left to compute."""
         rows = x.value.shape[0] if x.value.ndim == 2 else 1
-        out = nc.lstm_seq(x, self.w, self.b, *state, (rows,))
+        out = nc.lstm_seq(x, self.w, None if projected else self.b, *state, (rows,))
         if x.value.ndim == 1:
             return nc.row(out, 0), nc.row(out, 1)
         return nc.row(out, slice(0, rows)), nc.row(out, slice(rows, 2 * rows))
+
+    def project(self, x: Node, at: int) -> Node:
+        """The product of ``x`` (a vector, or one per row) with the input
+        columns of w from ``at`` on, as many as x is wide: what an input
+        part at offset ``at`` adds to the input projection. A part that
+        takes few values can be projected once, as a table."""
+        end = at + x.value.shape[-1]
+        if not 0 <= at <= end <= self.input_size:
+            raise ValueError(f"input columns {at}..{end} outside the {self.input_size} of the cell")
+        return nc.matvec(self.w, x, slice(at, end))
 
     def sequence(self, x: Node) -> Node:
         """Outputs for the rows of ``x`` (one input per row), starting from

@@ -12,6 +12,9 @@ models are built from such whole-sequence ops: ``lstm_seq`` runs an LSTM
 over all rows with a hand-written backward pass through time, and each
 model's output head runs on all rows at once. ``lstm_seq``, the one LSTM
 op, also runs packed sequences: one LSTM step of B rows, or many inputs.
+It also takes inputs already projected through their weights, so that a
+decoder whose inputs come from small tables multiplies only W_h·h per
+step; ``matvec`` on a column block of w builds such tables.
 
 Greedy decoding steps the same ops one vector at a time inside
 ``no_grad``: there every op builds a node with no parents and no backward
@@ -162,14 +165,28 @@ def scale(s: Node, v: Node) -> Node:
     return _op("scale", k * v.value, (s, v), grads)
 
 
-def matvec(w: Node, x: Node) -> Node:
+def matvec(w: Node, x: Node, cols: slice | None = None) -> Node:
     """``w @ x`` for a vector x; a matrix x holds one input per row and
-    maps to one output per row."""
-    if w.value.ndim != 2 or x.value.ndim not in (1, 2) or w.value.shape[1] != x.value.shape[-1]:
+    maps to one output per row. With ``cols``, a ``slice(lo, hi)``, only
+    that column block of w multiplies x (a view, never a copy); its
+    gradient lands in those columns of a zero-filled one, as ``row``'s
+    lands in its rows."""
+    if w.value.ndim != 2 or x.value.ndim not in (1, 2):
         _shape_error("matvec", w, x)
+    if cols is not None and _bad_slice(cols, w.value.shape[1]):
+        raise IndexError(f"matvec columns {cols} out of range for {w.value.shape}")
+    wv = w.value if cols is None else w.value[:, cols]
+    if wv.shape[1] != x.value.shape[-1]:
+        _shape_error("matvec" if cols is None else f"matvec (columns {cols})", w, x)
     vector = x.value.ndim == 1
-    return _op("matvec", w.value @ x.value if vector else x.value @ w.value.T, (w, x),
-               lambda g: (np.outer(g, x.value) if vector else g.T @ x.value, g @ w.value))
+
+    def grads(g):
+        gw = np.outer(g, x.value) if vector else g.T @ x.value
+        if cols is not None:
+            block, gw = gw, np.zeros_like(w.value)
+            gw[:, cols] = block
+        return gw, g @ wv
+    return _op("matvec", wv @ x.value if vector else x.value @ wv.T, (w, x), grads)
 
 
 def dot(a: Node, b: Node) -> Node:
@@ -210,6 +227,11 @@ def vstack(parts: Sequence[Node]) -> Node:
     return _op("vstack", np.vstack([p.value for p in parts]), tuple(parts), grads)
 
 
+def _bad_slice(s: slice, n: int) -> bool:
+    """Whether ``s`` is not ``slice(lo, hi)`` with 0 <= lo <= hi <= n."""
+    return s.indices(n) != (s.start, s.stop, 1) or s.start > s.stop
+
+
 def row(m: Node, index: int | slice | np.ndarray) -> Node:
     """Row of a 2-D table (embedding lookup). A slice ``slice(lo, hi)``
     takes rows lo .. hi-1, and an index array gathers one row per entry;
@@ -221,7 +243,7 @@ def row(m: Node, index: int | slice | np.ndarray) -> Node:
     if type(index) is int or isinstance(index, np.integer):  # the common case, checked cheaply
         bad = not 0 <= index < n
     elif isinstance(index, slice):
-        bad = index.indices(n) != (index.start, index.stop, 1) or index.start > index.stop
+        bad = _bad_slice(index, n)
     else:
         index = np.asarray(index)
         if index.ndim > 1 or not np.issubdtype(index.dtype, np.integer):
@@ -242,22 +264,28 @@ def row(m: Node, index: int | slice | np.ndarray) -> Node:
     return _op("row", m.value[index] if gather else m.value[index].copy(), (m,), grads)
 
 
-def pick(a: Node, index: int | np.ndarray) -> Node:
-    """Scalar entry of a vector; for a matrix, ``index`` holds one column
-    per row and the result is the vector of those entries."""
+def _entries(op: str, a: Node, index: int | np.ndarray):
+    """Where ``index`` picks an entry of the vector ``a``, or one column per
+    row of the matrix ``a``, as an index into its value; a bad index is an
+    error."""
     if a.value.ndim == 2:
         index = np.asarray(index)
         if index.shape != a.value.shape[:1] or not np.issubdtype(index.dtype, np.integer):
-            raise IndexError(f"pick needs one column per row of {a.value.shape}, got {index!r}")
+            raise IndexError(f"{op} needs one column per row of {a.value.shape}, got {index!r}")
         if index.size and not (0 <= index.min() and index.max() < a.value.shape[1]):
-            raise IndexError(f"pick {index} out of range for matrix {a.value.shape}")
-        where = (np.arange(index.shape[0]), index)
-    elif a.value.ndim != 1:
-        _shape_error("pick (vector or matrix)", a)
-    elif not 0 <= index < a.value.shape[0]:
-        raise IndexError(f"pick {index} out of range for vector {a.value.shape}")
-    else:
-        where = index
+            raise IndexError(f"{op} {index} out of range for matrix {a.value.shape}")
+        return np.arange(index.shape[0]), index
+    if a.value.ndim != 1:
+        _shape_error(f"{op} (vector or matrix)", a)
+    if not 0 <= index < a.value.shape[0]:
+        raise IndexError(f"{op} {index} out of range for vector {a.value.shape}")
+    return index
+
+
+def pick(a: Node, index: int | np.ndarray) -> Node:
+    """Scalar entry of a vector; for a matrix, ``index`` holds one column
+    per row and the result is the vector of those entries."""
+    where = _entries("pick", a, index)
 
     def grads(g):
         ga = np.zeros_like(a.value)
@@ -269,7 +297,8 @@ def pick(a: Node, index: int | np.ndarray) -> Node:
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     # exp(-|v|) never overflows; it is exp(-v) for v >= 0 and exp(v) below
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a: Node) -> Node:
@@ -309,22 +338,49 @@ def softmax(a: Node, valid: np.ndarray | None = None) -> Node:
     return _op("softmax", p, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
-def _lstm_row(w: np.ndarray, b: np.ndarray, xh: np.ndarray, c: np.ndarray,
-              gates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mixture(w: Node, p: Node, index: int | np.ndarray) -> Node:
+    """``w * p + (1 - w) * onehot(index)``: the distribution ``p`` mixed
+    with a point mass at ``index``, weighing p by the scalar w. For a
+    matrix p, w and ``index`` hold one entry per row. Only the entry at
+    ``index`` gets 1 - w added; every other is ``w * p`` exactly."""
+    where = _entries("mixture", p, index)
+    if w.value.shape != p.value.shape[:-1]:
+        _shape_error("mixture (w, p)", w, p)
+    k = w.value[..., None]
+    out = k * p.value
+    out[where] += 1.0 - w.value
+
+    def grads(g):
+        return (g * p.value).sum(axis=-1) - g[where], g * k
+    return _op("mixture", out, (w, p), grads)
+
+
+def _lstm_row(w: np.ndarray, add: np.ndarray, xh: np.ndarray, c: np.ndarray,
+              gates: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One LSTM step of B rows with one matrix product, the kernel of
-    ``lstm_seq`` (gates input, forget, output, candidate along 4H). Fills
-    ``gates`` after the nonlinearities; returns the new c, its tanh and h."""
+    ``lstm_seq`` (gates input, forget, output, candidate along 4H). The
+    pre-activations are the rows ``xh`` times as many of w's last columns,
+    plus ``add``: rows [x; h] times all of w, plus the bias; or rows h
+    times the recurrent block, plus each row's input projection. The three
+    sigmoid gates are 0.5·tanh(0.5·z) + 0.5, so one tanh covers all 4H.
+    Fills ``gates`` after the nonlinearities and ``h`` with the new hidden
+    state; returns the new c and its tanh."""
     hs = c.shape[1]
-    z = np.dot(xh, w.T) + b                    # for one row, cheaper than xh @ w.T
-    gates[:, :3 * hs] = _sigmoid(z[:, :3 * hs])
-    gates[:, 3 * hs:] = np.tanh(z[:, 3 * hs:])
+    z = xh @ w[:, w.shape[1] - xh.shape[1]:].T     # `@` reads a column block in place
+    z += add
+    z[:, :3 * hs] *= 0.5
+    np.tanh(z, out=gates)
+    sig = gates[:, :3 * hs]
+    sig *= 0.5
+    sig += 0.5
     i, f, o, g = gates[:, :hs], gates[:, hs:2 * hs], gates[:, 2 * hs:3 * hs], gates[:, 3 * hs:]
     c = f * c + i * g
     tanh_c = np.tanh(c)
-    return c, tanh_c, o * tanh_c
+    np.multiply(o, tanh_c, out=h)
+    return c, tanh_c
 
 
-def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node,
+def lstm_seq(x: Node, w: Node, b: Node | None, h0: Node, c0: Node,
              sizes: Sequence[int] | None = None) -> Node:
     """An LSTM over the rows of ``x`` (a vector is one row) as one op.
 
@@ -333,6 +389,10 @@ def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node,
     time-major: step t reads the next sizes[t] rows, one per sequence still
     running, and the result holds each row's h, then each sequence's last c.
     The sequences start from the vectors (h0, c0) or from one row each.
+
+    With ``b`` None, each row of x is already its input's projection
+    W_x·x + b (4H wide), and only the recurrent block of w, its last H
+    columns, multiplies h; the input columns get a zero gradient.
 
     Each step is one kernel call on its rows, so a sequence stepped alone
     gives the bits of chained vector steps. On the tape every row's gates
@@ -344,31 +404,39 @@ def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node,
     packed = sizes is not None
     sizes = sizes if packed else (1,) * rows
     hs = hv.shape[-1] if hv.ndim in (1, 2) else -1
+    projected = b is None
+    parents = (x, w, h0, c0) if projected else (x, w, b, h0, c0)
+    width = w.value.shape[1] - hs if w.value.ndim == 2 else -1    # w's input columns
     if (xv.ndim not in (1, 2) or not sizes or sizes[-1] < 1 or sum(sizes) != rows or hs < 1
             or cv.shape != hv.shape or hv.shape not in ((hs,), (sizes[0], hs))
             or list(sizes) != sorted(sizes, reverse=True)
-            or w.value.shape != (4 * hs, xv.shape[-1] + hs) or b.value.shape != (4 * hs,)):
-        _shape_error(f"lstm_seq (x, w, b, h0, c0; sizes {sizes})", x, w, b, h0, c0)
-    seqs, width = sizes[0], xv.shape[-1]
-    record = not _NO_GRAD and any(p.requires_grad for p in (x, w, b, h0, c0))
-    xh = np.empty((rows, width + hs))          # [x_t; h_{t-1}] per row
-    xh[:, :width] = xv
+            or width < 0 or w.value.shape[0] != 4 * hs
+            or xv.shape[-1] != (4 * hs if projected else width)
+            or not projected and b.value.shape != (4 * hs,)):
+        _shape_error(f"lstm_seq (x, w, b, h0, c0; sizes {sizes})", *parents)
+    seqs, lead = sizes[0], 0 if projected else width     # lead: the x columns of xh
+    record = not _NO_GRAD and any(p.requires_grad for p in parents)
+    xh = np.empty((rows, lead + hs))           # [x_t; h_{t-1}] per row, or h_{t-1} alone
+    if not projected:
+        xh[:, :lead] = xv
+    add = xv.reshape(rows, 4 * hs) if projected else b.value
     gates = np.empty((rows if record else seqs, 4 * hs))   # i, f, o, g after their nonlinearities
-    c_in, tanh_c, h_out, c_last = [], [], [], []           # per step, and per ended sequence
+    out = np.empty((rows + seqs if packed else rows, hs))  # each row's h, then each last c
+    c_in, tanh_c = [], []                                  # per step
     c, h, at = cv.reshape(-1, hs), hv.reshape(-1, hs), 0
     for k in sizes:
-        xh[at:at + k, width:] = h[:k]          # a shared start fills every row
+        xh[at:at + k, lead:] = h[:k]           # a shared start fills every row
         if k < len(c):                         # sequences k.. have ended
-            c_last.append(c[k:])
+            out[rows + k:rows + len(c)] = c[k:]
             c = c[:k]
         c_in.append(c)
-        c, tc, h = _lstm_row(w.value, b.value, xh[at:at + k], c,
-                             gates[at:at + k] if record else gates[:k])
+        h = out[at:at + k]
+        c, tc = _lstm_row(w.value, add[at:at + k] if projected else add, xh[at:at + k], c,
+                          gates[at:at + k] if record else gates[:k], h)
         tanh_c.append(tc)
-        h_out.append(h)
         at += k
-    c_last.append(c)
-    out_value = np.concatenate(h_out + c_last[::-1] if packed else h_out)
+    if packed:
+        out[rows:rows + len(c)] = c
 
     def grads(g):
         c_prev = np.concatenate([np.broadcast_to(c_in[0], tanh_c[0].shape), *c_in[1:]])
@@ -395,9 +463,14 @@ def lstm_seq(x: Node, w: Node, b: Node, h0: Node, c0: Node,
             at -= k
         if hv.ndim == 1 and seqs > 1:          # a shared start: the sum over sequences
             dh_next, dc_next = dh_next.sum(axis=0), dc_next.sum(axis=0)
-        dx = (dz @ w.value)[:, :width].reshape(xv.shape) if x.requires_grad else None
-        return dx, dz.T @ xh, dz.sum(axis=0), dh_next.reshape(hv.shape), dc_next.reshape(cv.shape)
-    return _op("lstm_seq", out_value, (x, w, b, h0, c0), grads)
+        dh0, dc0 = dh_next.reshape(hv.shape), dc_next.reshape(cv.shape)
+        if projected:
+            dw = np.zeros_like(w.value)
+            dw[:, width:] = dz.T @ xh
+            return dz.reshape(xv.shape), dw, dh0, dc0
+        dx = (dz @ w.value[:, :width]).reshape(xv.shape) if x.requires_grad else None
+        return dx, dz.T @ xh, dz.sum(axis=0), dh0, dc0
+    return _op("lstm_seq", out, parents, grads)
 
 
 def dropout(a: Node, rate: float, rng: np.random.Generator) -> Node:

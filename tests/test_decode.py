@@ -504,11 +504,11 @@ def test_lockstep_steps_each_lstm_as_many_rows_as_single_decodes(trained, name, 
         cells = [model.decoder] if model.arch == "HACM" else [cell for cell, _ in model.tracks]
         stepped = [0] * len(cells)
 
-        def kernel(w, b, xh, c, gates, inner=nc._lstm_row):
+        def kernel(w, add, xh, c, gates, h, inner=nc._lstm_row):
             for k, cell in enumerate(cells):
                 if w is cell.w.value:
-                    stepped[k] += len(xh) if xh.ndim == 2 else 1
-            return inner(w, b, xh, c, gates)
+                    stepped[k] += len(xh)
+            return inner(w, add, xh, c, gates, h)
 
         monkeypatch.setattr(nc, "_lstm_row", kernel)
         single = [greedy_decode(model, *q) for q in queries]
@@ -576,9 +576,9 @@ def test_batch_encoder_matches_each_start_in_any_order(name, monkeypatch):
 
     stepped = []
 
-    def kernel(w, b, xh, c, gates, inner=nc._lstm_row):
+    def kernel(w, add, xh, c, gates, h, inner=nc._lstm_row):
         stepped.append(len(xh))
-        return inner(w, b, xh, c, gates)
+        return inner(w, add, xh, c, gates, h)
 
     frames = {}
     for order in (list(range(len(lemmas))), rng.sample(range(len(lemmas)), len(lemmas))):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hardmono import hacm as hacm_module
 from hardmono.align import naive_align, smart_align
 from hardmono.corpus import CharVocabulary, FeatureAlphabet
 from hardmono.hacm import HacmModel, ModelConfig
-from hardmono.oracle import hacm_oracle
+from hardmono.oracle import BOS, STEP, hacm_oracle, write
 
 
 CFG = ModelConfig(hidden=6, embed=5, feat_embed=3, dropout=0.0)
@@ -250,3 +251,116 @@ def test_seeded_construction_is_deterministic():
     b = build(seed=21)
     for name in a.params.names():
         assert np.array_equal(a.params[name].value, b.params[name].value)
+
+
+# --- the decoder's input tables ---
+
+
+def concat_step(m, lstm, action_ids, attended, feats):
+    """The decoder step on its whole input [E(prev); h_i; f]: the reference
+    for steps read from the input tables."""
+    return m.decoder.step(nc.concat([m.act_emb(action_ids), attended, feats]), lstm)
+
+
+@pytest.mark.parametrize("lemma", ["fliegen", "aXbY"], ids=["in-vocabulary", "oov"])
+def test_a_vector_step_from_the_tables_matches_the_concatenated_input(lemma):
+    """Vector steps that sweep the pointer over the whole frame, with a
+    WRITE between moves, reach the states of steps on [E(prev); h_i; f] to
+    1e-12; in the oov case some steps attend a character out of
+    vocabulary."""
+    m = build(seed=13)
+    state = m.start(lemma, ("V", "PST"))
+    actions, oov = [BOS], 0
+    while len(actions) < 2 * len(lemma) + 3:
+        actions += [write("a"), STEP]
+    for action in actions:
+        action_id = m.codec.id_of(action)
+        new = m.step(state, action_id)
+        want = concat_step(m, state.lstm, action_id, nc.row(state.frame, new.i), state.feat_vec)
+        for got, ref in zip(new.lstm, want):
+            assert np.allclose(got.value, ref.value, rtol=0, atol=1e-12)
+        oov += m.attended_oov(new) is not None
+        state = new
+    # each unseen character is attended twice: after its STEP and its WRITE
+    assert state.i == len(lemma) + 1 and oov == (4 if lemma == "aXbY" else 0)
+
+
+def test_seven_lockstep_rows_from_the_tables_match_the_concatenated_inputs(monkeypatch):
+    """The rows a lockstep step gives the decoder, read from the batch's
+    tables, step as the rows [E(prev); h_i; f] do, to 1e-12; the third row
+    attends a character out of vocabulary."""
+    m = build(seed=14)
+    inputs = [("fliegen", ("V",)), ("fog", ("PST", "V")), ("Xab", ("2",)), ("a", ()),
+              ("gole", ("SG",)), ("bafel", ("V", "SG")), ("lieb", ("PST", "NEW"))]
+    steps = []
+    inner = m.decoder.step
+
+    def recorded(x, state, projected=False):
+        out = inner(x, state, projected)
+        steps.append((state, out))
+        return out
+
+    monkeypatch.setattr(m.decoder, "step", recorded)
+    exs, step = m.lockstep(inputs)
+    rows, unseen = list(range(len(inputs))), []
+    for action in (BOS, STEP, write("o"), STEP):
+        dists = step(rows, [action] * len(rows))
+        unseen.append([r for r, dist in zip(rows, dists) if dist is None])
+        state, out = steps[-1]
+        starts = [m.start(lemma, features) for lemma, features in inputs]
+        attended = nc.vstack([nc.row(s.frame, ex.i) for s, ex in zip(starts, exs)])
+        feats = nc.vstack([s.feat_vec for s in starts])
+        ids = np.full(len(rows), m.codec.id_of(action))
+        for got, ref in zip(out, concat_step(m, state, ids, attended, feats)):
+            assert got.shape == (7, m.config.hidden)
+            assert np.allclose(got.value, ref.value, rtol=0, atol=1e-12)
+    assert unseen == [[], [2], [2], []]
+
+
+def test_a_vector_decoder_step_copies_no_weight_block():
+    """A vector step multiplies the recurrent block of dec.w in place: at
+    hidden 100 it allocates less than that 400 x 100 block (320 KB), which
+    any copy of the block would take."""
+    m = build(cfg=ModelConfig())
+    hidden = m.config.hidden
+    with nc.no_grad():
+        state = m.step(m.start("fliegen", ("V", "PST")), m.codec.id_of(BOS))
+        step_id = m.codec.id_of(STEP)
+        m.step(state, step_id)
+        tracemalloc.start()
+        try:
+            m.step(state, step_id)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert hidden == 100 and peak < 4 * hidden * hidden * 8
+
+
+def test_per_step_loss_and_gradients_match_sample_loss():
+    """Teacher-forced through the per-step API, an oracle's negative
+    log-likelihood and its gradients equal those of ``sample_loss`` with
+    dropout off, to rounding: the tables built at ``start`` carry the
+    gradients of the decoder's input. They also grad-check."""
+    cfg = ModelConfig(hidden=4, embed=3, feat_embed=2, dropout=0.0)
+    m = build(chars="ab", feats=("V",), seed=15, cfg=cfg)
+    lemma, oracle = "abba", hacm_oracle(smart_align("abba", "aab"))
+
+    def per_step():
+        state, total = m.start(lemma, ("V",)), nc.constant(0.0)
+        for prev, action in zip(oracle.actions, oracle.actions[1:]):
+            state = m.step(state, m.codec.id_of(prev))
+            total = nc.sub(total, nc.log(nc.pick(m.distribution(state), m.codec.id_of(action))))
+        return total
+
+    want = m.sample_loss(lemma, ("V",), oracle, training=False)
+    got = per_step()
+    assert abs(float(got.value) - float(want.value)) < 1e-12
+    nc.backward(want)
+    ref = [p.grad.copy() for p in m.params.nodes()]
+    m.params.zero_grads()
+    nc.backward(got)
+    for p, g in zip(m.params.nodes(), ref):
+        assert np.allclose(p.grad, g, rtol=0, atol=1e-9), p.name
+    m.params.zero_grads()
+    assert nc.grad_check(per_step, m.params.nodes(), samples_per_param=6,
+                         rng=random.Random(2)) < 1e-4

@@ -211,3 +211,42 @@ def test_lstm_run_gradients_match_chained_steps():
     rows = [nc.row(seq, t) for t in range(len(xs))]
     for got, want in zip(grads(rows), grads(stepped)):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_steps_on_projected_inputs_match_steps_on_inputs_and_grad_check():
+    """A cell stepped on input projections, summed from ``project`` blocks
+    plus the bias, reaches the states of the same inputs stepped whole, to
+    rounding; the gradients through the blocks grad-check."""
+    ps, rng = make(11)
+    cell = LstmCell(ps, "lstm", 5, 3)
+    parts = [nc.param(rng.uniform(-1, 1, size=(4, 2))), nc.param(rng.uniform(-1, 1, size=3))]
+    weights = nc.constant(rng.uniform(-1, 1, size=3))
+
+    def run(projected):
+        state = (cell.h0, cell.c0)
+        for t in range(4):
+            first = nc.row(parts[0], t)
+            if projected:
+                x = nc.add(nc.add(cell.project(first, 0), cell.project(parts[1], 2)), cell.b)
+            else:
+                x = nc.concat([first, parts[1]])
+            state = cell.step(x, state, projected)
+        return state
+
+    for a, b in zip(run(True), run(False)):
+        assert np.allclose(a.value, b.value, rtol=0, atol=1e-12)
+
+    def loss():
+        h, c = run(True)
+        return nc.add(nc.dot(h, weights), nc.dot(c, weights))
+
+    assert nc.grad_check(loss, ps.nodes() + parts) < 1e-6
+
+
+def test_project_stays_within_the_input_columns():
+    ps, rng = make(12)
+    cell = LstmCell(ps, "lstm", 5, 3)
+    assert cell.project(nc.constant(np.ones((2, 5))), 0).shape == (2, 12)
+    for width, at in ((3, 3), (2, -1), (6, 0)):
+        with pytest.raises(ValueError, match="input columns"):
+            cell.project(nc.constant(np.ones(width)), at)

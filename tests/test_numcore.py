@@ -560,6 +560,155 @@ def test_lstm_seq_packed_grad_check(starts):
 
 
 @pytest.mark.parametrize("x, h, sizes", [
+    ((3,), (4,), (1,)),            # a vector step
+    ((5, 3), (5, 4), (5,)),        # one step of rows, from one row each
+    ((6, 3), (4,), (3, 2, 1)),     # packed sequences from a shared start
+    ((4, 3), (4,), None),          # one sequence
+], ids=["vector", "rows", "packed", "sequence"])
+def test_lstm_seq_on_input_projections_matches_input_rows(x, h, sizes):
+    """With no bias, rows of input projections W_x·x + b step the LSTM as
+    the inputs x do, to rounding: only W_h·h is left to the op."""
+    rng = np.random.default_rng(32)
+    hs, width = h[-1], x[-1]
+    w, b = rng.uniform(-0.5, 0.5, size=(4 * hs, width + hs)), rng.uniform(-0.5, 0.5, size=4 * hs)
+    x, h0, c0 = (rng.uniform(-2, 2, size=shape) for shape in (x, h, h))
+    want = nc.lstm_seq(nc.constant(x), nc.constant(w), nc.constant(b), nc.constant(h0),
+                       nc.constant(c0), sizes).value
+    got = nc.lstm_seq(nc.constant(x @ w[:, :width].T + b), nc.constant(w), None,
+                      nc.constant(h0), nc.constant(c0), sizes).value
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0, atol=LOCKSTEP_ATOL)
+
+
+@pytest.mark.parametrize("starts", ["shared", "per-row"])
+def test_lstm_seq_on_input_projections_grad_check(starts):
+    """Packed sequences stepped on input projections: the gradients into the
+    projections, w's recurrent block and both starts grad-check, and w's
+    input columns get exactly zero."""
+    rng = random.Random(33)
+    hs, width = 3, 2
+    w = nc.param(rng_array(rng, 4 * hs, width + hs))
+    shape = (hs,) if starts == "shared" else (2, hs)
+    h0, c0 = nc.param(rng_array(rng, *shape)), nc.param(rng_array(rng, *shape))
+    x = nc.param(rng_array(rng, 7, 4 * hs))   # lengths 5 and 2: sizes 2, 2, 1, 1, 1
+    weights = nc.constant(rng_array(rng, 7 * hs))
+    wc = nc.constant(rng_array(rng, hs))
+
+    def f():
+        out = nc.lstm_seq(x, w, None, h0, c0, [2, 2, 1, 1, 1])
+        hidden = nc.concat([nc.row(out, t) for t in range(7)])
+        return nc.add(nc.dot(hidden, weights), nc.dot(nc.row(out, 8), wc))
+
+    assert nc.grad_check(f, [w, h0, c0, x]) < 1e-6
+    w.zero_grad()
+    nc.backward(f())
+    assert not w.grad[:, :width].any() and w.grad[:, width:].all()
+
+
+@pytest.mark.parametrize("x, w", [((2, 12), (12, 2)), ((2, 11), (12, 5)), ((2, 12), (12,))],
+                         ids=["no-input-columns", "x-width", "vector-w"])
+def test_lstm_seq_on_input_projections_shape_errors(x, w):
+    x, w, h = nc.constant(np.zeros(x)), nc.constant(np.zeros(w)), nc.constant(np.zeros(3))
+    with pytest.raises(ValueError, match="lstm_seq"):
+        nc.lstm_seq(x, w, None, h, h)
+
+
+def _two_denominator_sigmoid(v):
+    """The one-exp sigmoid with the denominator computed in each branch."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_sigmoid_with_one_denominator_is_bitwise_the_two_denominator_form():
+    edges = [0.0, -0.0, 37.0, -37.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf]
+    grid = np.concatenate([np.linspace(-800, 800, 200_001), np.linspace(-40, 40, 80_001), edges])
+    got, want = nc._sigmoid(grid), _two_denominator_sigmoid(grid)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_lstm_kernel_gates_are_the_sigmoid_and_tanh():
+    """The kernel's sigmoid gates, 0.5·tanh(0.5·z) + 0.5, are within two
+    units in the last place below 1 (2**-52) of ``_sigmoid`` over
+    [-50, 50]; its candidate gate is tanh(z). Against an extended-precision
+    sigmoid the tanh form is off by at most 1.03e-16 here and ``_sigmoid``
+    by 1.66e-16, so the two differ by two units at a few points."""
+    hs, rows = 250, 200
+    z = np.linspace(-50, 50, rows * 4 * hs).reshape(rows, 4 * hs)
+    gates = np.empty_like(z)
+    nc._lstm_row(np.zeros((4 * hs, hs)), z, np.zeros((rows, hs)), np.zeros((rows, hs)), gates,
+                 np.empty((rows, hs)))
+    assert np.abs(gates[:, :3 * hs] - nc._sigmoid(z[:, :3 * hs])).max() <= 2.0 ** -52
+    assert np.array_equal(gates[:, 3 * hs:], np.tanh(z[:, 3 * hs:]))
+
+
+@pytest.mark.parametrize("rows", [None, 4], ids=["vector", "rows"])
+def test_matvec_column_block_grad_check(rows):
+    """A column block of w multiplies x as a copy of the block would; its
+    gradient fills those columns of w's and leaves the rest zero."""
+    rng = random.Random(30)
+    w = nc.param(rng_array(rng, 5, 7))
+    x = nc.param(rng_array(rng, 3) if rows is None else rng_array(rng, rows, 3))
+    got = nc.matvec(w, x, slice(2, 5))
+    want = nc.matvec(nc.constant(w.value[:, 2:5].copy()), x)
+    assert np.allclose(got.value, want.value, rtol=0, atol=1e-15)
+    weights = nc.constant(rng_array(rng, 5 * (rows or 1)))
+
+    def f():
+        out = nc.matvec(w, x, slice(2, 5))
+        flat = out if rows is None else nc.concat([nc.row(out, r) for r in range(rows)])
+        return nc.dot(flat, weights)
+
+    assert nc.grad_check(f, [w, x]) < 1e-6
+    w.zero_grad()
+    nc.backward(f())
+    assert not w.grad[:, [0, 1, 5, 6]].any() and w.grad[:, 2:5].all()
+
+
+def test_matvec_column_block_errors():
+    w, x = nc.constant(np.zeros((5, 7))), nc.constant(np.zeros(3))
+    for cols in (slice(5, 8), slice(3, 2), slice(None, 3), slice(0, 6, 2), slice(-3, None)):
+        with pytest.raises(IndexError, match="matvec columns"):
+            nc.matvec(w, x, cols)
+    with pytest.raises(ValueError, match="matvec"):
+        nc.matvec(w, x, slice(0, 2))
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["vector", "rows"])
+def test_mixture_is_the_node_formula_and_grad_checks(rows):
+    """``mixture`` gives bitwise what w * p + (1 - w) * onehot(index) gives
+    when built from scale, sub and add nodes, and its gradients
+    grad-check."""
+    rng = np.random.default_rng(31)
+    p = nc.param(rng.dirichlet(np.ones(5), size=rows))
+    w = nc.param(rng.uniform(0, 1, size=() if rows is None else rows))
+    index = 2 if rows is None else np.array([4, 0, 2])
+    point = np.arange(5) == np.asarray(index)[..., None]
+    want = nc.add(nc.scale(w, p), nc.scale(nc.sub(nc.constant(np.ones(w.shape)), w),
+                                           nc.constant(point.astype(float))))
+    assert nc.mixture(w, p, index).value.tobytes() == want.value.tobytes()
+    weights = nc.constant(rng.uniform(-1, 1, size=5 * (rows or 1)))
+
+    def f():
+        out = nc.mixture(w, p, index)
+        flat = out if rows is None else nc.concat([nc.row(out, r) for r in range(rows)])
+        return nc.dot(flat, weights)
+
+    assert nc.grad_check(f, [w, p]) < 1e-6
+
+
+def test_mixture_errors():
+    p, w = nc.constant(np.full((2, 3), 1 / 3)), nc.constant([0.5, 0.5])
+    for index in ([0, 3], [-1, 0], [0], [0.0, 1.0]):
+        with pytest.raises(IndexError, match="mixture"):
+            nc.mixture(w, p, np.array(index))
+    with pytest.raises(IndexError, match="mixture"):
+        nc.mixture(nc.constant(0.5), nc.constant(np.full(3, 1 / 3)), 3)
+    for w in (nc.constant(0.5), nc.constant([0.5, 0.5, 0.5])):
+        with pytest.raises(ValueError, match="mixture"):
+            nc.mixture(w, p, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("x, h, sizes", [
     ((6, 2), (3,), [3, 2]),        # the sizes cover five rows of six
     ((6, 2), (3,), [2, 3, 1]),     # a step runs more sequences than the step before
     ((6, 2), (3,), [3, 3, 0]),     # a step runs none
@@ -598,6 +747,7 @@ OPS = {
     "sub": (nc.sub, _values(3, 3)),
     "scale": (nc.scale, _values((), (2, 3))),
     "matvec": (nc.matvec, _values((2, 3), 3)),
+    "matvec_cols": (lambda w, x: nc.matvec(w, x, slice(1, 3)), _values((2, 4), (3, 2))),
     "dot": (nc.dot, _values(3, 3)),
     "concat": (lambda *parts: nc.concat(parts), _values(2, 3)),
     "vstack": (lambda *parts: nc.vstack(parts), _values(3, (2, 3))),
@@ -609,12 +759,15 @@ OPS = {
     "softmax": (nc.softmax, _values((2, 3))),
     "masked_softmax": (lambda a: nc.softmax(a, np.array([True, False, True])),   # a softmax node
                        _values(3)),
+    "mixture": (lambda w, p: nc.mixture(w, p, np.array([2, 0])), _values(2, (2, 3))),
     "lstm_seq": (nc.lstm_seq, _values((4, 2), (12, 5), 12, 3, 3)),
     "lstm_step": (lambda *a: nc.lstm_seq(*a, (1,)), _values(2, (12, 5), 12, 3, 3)),
     "lstm_step_rows": (lambda *a: nc.lstm_seq(*a, (4,)),
                        _values((4, 2), (12, 5), 12, (4, 3), (4, 3))),
     "lstm_seq_packed": (lambda *a: nc.lstm_seq(*a, (3, 2, 1)),
                         _values((6, 2), (12, 5), 12, (3, 3), (3, 3))),
+    "lstm_step_projected": (lambda x, w, h, c: nc.lstm_seq(x, w, None, h, c, (1,)),
+                            _values(12, (12, 5), 3, 3)),
     "dropout": (lambda a: nc.dropout(a, 0.5, np.random.default_rng(0)), _values(8)),
 }
 NOT_OPS = {"param", "constant", "no_grad", "backward", "grad_check"}
@@ -632,8 +785,8 @@ def test_every_op_records_its_inputs_only_on_the_tape(name):
     node, expected, op = taped, tuple(inputs), name
     if name.startswith("lstm"):   # a step, or packed sequences
         op = "lstm_seq"
-    elif name == "masked_softmax":
-        op = "softmax"
+    elif name in ("masked_softmax", "matvec_cols"):
+        op = name.split("_")[0] if name == "matvec_cols" else "softmax"
     elif name == "sub":            # add(a, neg(b))
         negated = node._parents[1]
         assert negated.name == "neg" and negated._parents == (inputs[1],)
