@@ -236,15 +236,17 @@ class HacmModel:
         The oracle fixes every action and, through the executor, the
         attended position at every step, so all T decoder inputs are known
         before the forward pass: the loss runs the decoder as one sequence
-        op and the output heads on all T rows at once. Training-mode
+        op and the output heads on all T rows at once, and ``nc.nll`` sums
+        the T gold actions' negative log-probabilities. Training-mode
         dropout draws one (T, D) block, the same stream as one draw per
-        step."""
+        step; a gold probability that underflows to 0 raises
+        FloatingPointError."""
         actions = oracle.actions
         if oracle.inventory != HACM or len(actions) < 2 or actions[0].tag != "BOS":
             raise ValueError("oracle must be a BOS-led write/step sequence")
-        frame = self._frame(lemma)
         if training and rng is None:
             raise ValueError("training mode needs a dropout generator")
+        frame = self._frame(lemma)
         # replay: step t consumes action t-1 and predicts action t
         positions, targets, copies = [], [], []
         ex = HacmExecutor(lemma)
@@ -262,9 +264,8 @@ class HacmModel:
         feats = nc.vstack([self.feature_vector(features)] * steps)
         prev_emb = self.act_emb(np.array(prev_ids))
         x = nc.concat([prev_emb, attended, feats])
-        if training and self.config.dropout > 0:
+        if training:
             x = nc.dropout(x, self.config.dropout, rng)
         s = self.decoder.sequence(x)
-        p = nc.pick(self._mixture(attended, feats, prev_emb, s, np.array(copies)),
-                    np.array(targets))
-        return nc.neg(nc.dot(nc.constant(np.ones(steps)), nc.log(p)))
+        return nc.nll(self._mixture(attended, feats, prev_emb, s, np.array(copies)),
+                      np.array(targets))

@@ -215,14 +215,16 @@ class HaemModel:
         One replay through the executor fixes every step's inputs, so each
         tracking LSTM runs as one sequence op (the deleted-run LSTM once
         per run between WRITEs, since every WRITE resets it) and step t
-        reads one row of its stacked states. Training-mode dropout draws one
-        (T, D) block, the same stream as one draw per step."""
+        reads one row of its stacked states; ``nc.nll`` sums the T gold
+        actions' negative log-probabilities. Training-mode dropout draws one
+        (T, D) block, the same stream as one draw per step; a gold
+        probability that underflows to 0 raises FloatingPointError."""
         actions = oracle.actions
         if oracle.inventory != HAEM or not actions or actions[-1].tag != "STOP":
             raise ValueError("oracle must be a STOP-terminated edit sequence")
-        encoded = self._frame(lemma)
         if training and rng is None:
             raise ValueError("training mode needs a dropout generator")
+        encoded = self._frame(lemma)
         # replay: per step, the state before its action (h_i as a row of
         # encoded) and how the action feeds each tracking LSTM
         targets = [self.codec.id_of(action) for action in actions]
@@ -242,10 +244,9 @@ class HaemModel:
               for k, track in enumerate(self.tracks)]
         x = self._input(hs, nc.row(encoded, np.array(positions)),
                         nc.constant(np.tile(self.feature_indicator(features).value, (steps, 1))))
-        if training and self.config.dropout > 0:
+        if training:
             x = nc.dropout(x, self.config.dropout, rng)
-        p = nc.pick(self._scores(x, np.array(valid)), np.array(targets))
-        return nc.neg(nc.dot(nc.constant(np.ones(steps)), nc.log(p)))
+        return nc.nll(self._scores(x, np.array(valid)), np.array(targets))
 
     @staticmethod
     def _states(track: tuple[LstmCell, EmbeddingTable], feeds: list) -> Node:

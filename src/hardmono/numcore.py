@@ -14,7 +14,11 @@ model's output head runs on all rows at once. ``lstm_seq``, the one LSTM
 op, also runs packed sequences: one LSTM step of B rows, or many inputs.
 It also takes inputs already projected through their weights, so that a
 decoder whose inputs come from small tables multiplies only W_h·h per
-step; ``matvec`` on a column block of w builds such tables.
+step; ``matvec`` on a column block of w builds such tables. Both losses
+end in ``nll``, the summed negative log-likelihood of the oracle's actions.
+
+Every public op has a caller in the models but ``dot``: the tests keep it
+to reduce a vector to the scalar that ``backward`` and ``grad_check`` need.
 
 Greedy decoding steps the same ops one vector at a time inside
 ``no_grad``: there every op builds a node with no parents and no backward
@@ -141,28 +145,6 @@ def add(a: Node, b: Node) -> Node:
         _shape_error("add", a, b)
     return _op("add", a.value + b.value, (a, b),
                lambda g: (g, g.sum(axis=0) if rows else g))
-
-
-def neg(a: Node) -> Node:
-    return _op("neg", -a.value, (a,), lambda g: (-g,))
-
-
-def sub(a: Node, b: Node) -> Node:
-    return add(a, neg(b))
-
-
-def scale(s: Node, v: Node) -> Node:
-    """Scalar node times tensor node; a vector ``s`` scales each row of a
-    matrix ``v`` by its own entry, as ``add`` adds a bias to every row."""
-    rows = s.value.ndim == 1 and v.value.ndim == 2 and s.value.shape[0] == v.value.shape[0]
-    if s.value.shape != () and not rows:
-        _shape_error("scale (a scalar, or one per row of a matrix)", s, v)
-    k = s.value[:, None] if rows else s.value
-
-    def grads(g):
-        gv = g * v.value
-        return gv.sum(axis=1) if rows else np.sum(gv), g * k
-    return _op("scale", k * v.value, (s, v), grads)
 
 
 def matvec(w: Node, x: Node, cols: slice | None = None) -> Node:
@@ -311,12 +293,6 @@ def relu(a: Node) -> Node:
     return _op("relu", np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
-def log(a: Node) -> Node:
-    if np.any(a.value <= 0):
-        raise FloatingPointError(f"log of non-positive value (min {a.value.min():g})")
-    return _op("log", np.log(a.value), (a,), lambda g: (g / a.value,))
-
-
 def softmax(a: Node, valid: np.ndarray | None = None) -> Node:
     """Distribution over a vector, or over each row of a matrix;
     max-subtracted for stability. With a boolean mask ``valid`` of the
@@ -353,6 +329,27 @@ def mixture(w: Node, p: Node, index: int | np.ndarray) -> Node:
     def grads(g):
         return (g * p.value).sum(axis=-1) - g[where], g * k
     return _op("mixture", out, (w, p), grads)
+
+
+def nll(p: Node, targets: int | np.ndarray) -> Node:
+    """The summed negative log-likelihood of ``targets`` under ``p``: one
+    entry of a vector, or one column per row of a matrix. Only the target
+    entries are read, so a masked entry's exact 0 elsewhere is no error; a
+    target probability that is not positive (an underflow) raises
+    FloatingPointError. The sum over rows is a product with ones (np.sum
+    rounds differently), and the gradient -g/p lands in the target entries
+    of a zero-filled array."""
+    where = _entries("nll", p, targets)
+    picked = p.value[where]
+    if np.any(picked <= 0):
+        raise FloatingPointError(f"nll of a non-positive target probability (min {picked.min():g})")
+    logs = np.log(picked)
+
+    def grads(g):
+        gp = np.zeros_like(p.value)
+        gp[where] = -g / picked
+        return (gp,)
+    return _op("nll", -(np.ones(len(logs)) @ logs) if logs.ndim else -logs, (p,), grads)
 
 
 def _lstm_row(w: np.ndarray, add: np.ndarray, xh: np.ndarray, c: np.ndarray,

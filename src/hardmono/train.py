@@ -200,7 +200,7 @@ def train_model(arch: str, aligner: str, train: list[Sample], dev: list[Sample],
                 try:
                     loss = model.sample_loss(sample.lemma, sample.features, oracle, rng=rng)
                     value = float(loss.value)
-                except FloatingPointError:   # nc.log of a gold probability that underflowed to 0
+                except FloatingPointError:   # nc.nll of a gold probability that underflowed to 0
                     value = math.nan
                 if not np.isfinite(value):
                     raise TrainingError(

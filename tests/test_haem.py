@@ -208,7 +208,20 @@ def test_loss_rejects_oov_write():
         m.sample_loss("ab", ("V",), oracle, training=False)
 
 
-def test_training_loss_needs_a_dropout_generator():
+def test_training_loss_needs_a_dropout_generator(monkeypatch):
+    """The usage error comes before the encoder runs."""
     m = build(seed=13)
+    monkeypatch.setattr(m, "_frame", lambda lemma: pytest.fail("encoded before the usage check"))
     with pytest.raises(ValueError, match="^training mode needs a dropout generator$"):
         m.sample_loss("ab", ("V",), haem_oracle(smart_align("ab", "ag")))
+
+
+def test_a_gold_probability_of_zero_raises_floating_point_error():
+    """The underflow that ``train_model`` reports as a non-finite loss: an
+    output bias that drives the first gold action's probability to exactly 0."""
+    m = build(seed=16)
+    oracle = haem_oracle(smart_align("ab", "ag"))
+    assert np.isfinite(m.sample_loss("ab", ("V",), oracle, training=False).value)
+    m.params["act.b"].value[m.codec.id_of(oracle.actions[0])] = -1e4
+    with pytest.raises(FloatingPointError, match="nll"):
+        m.sample_loss("ab", ("V",), oracle, training=False)

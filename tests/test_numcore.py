@@ -1,5 +1,6 @@
 import gc
 import inspect
+import pathlib
 import random
 
 import numpy as np
@@ -78,7 +79,7 @@ def test_softmax_cross_entropy_identity():
     rng = random.Random(3)
     logits = nc.param(rng_array(rng, 6) * 3)
     target = 2
-    nc.backward(nc.neg(nc.log(nc.pick(nc.softmax(logits), target))))
+    nc.backward(nc.nll(nc.softmax(logits), target))
     p = nc.softmax(nc.constant(logits.value)).value
     onehot = np.eye(6)[target]
     assert np.allclose(logits.grad, p - onehot, atol=1e-6)
@@ -115,7 +116,7 @@ def test_masked_softmax_gradient():
     rng = random.Random(5)
     logits = nc.param(rng_array(rng, 6))
     valid = np.array([True, False, True, True, False, True])
-    err = nc.grad_check(lambda: nc.log(nc.pick(nc.softmax(logits, valid), 2)), [logits])
+    err = nc.grad_check(lambda: nc.nll(nc.softmax(logits, valid), 2), [logits])
     assert err < 1e-6
 
 
@@ -158,44 +159,17 @@ def test_structural_ops_grad_check():
 
 
 def test_mixture_ops_grad_check():
+    """HACM's gate: a scalar sigmoid weighs a distribution against a point
+    mass."""
     rng = random.Random(8)
     s = nc.param(0.3)
     v = nc.param(rng_array(rng, 4))
-    u = nc.param(rng_array(rng, 4))
 
     def f():
-        mix = nc.add(nc.scale(nc.sigmoid(s), v), nc.scale(nc.sigmoid(nc.neg(s)), u))
+        mix = nc.mixture(nc.sigmoid(s), nc.softmax(v), 1)
         return nc.dot(mix, mix)
 
-    assert nc.grad_check(f, [s, v, u]) < 1e-6
-
-
-def test_row_scale_grad_check_and_shape_error():
-    """One scalar per row of a matrix, as a bias is one per row in add."""
-    rng = random.Random(19)
-    s = nc.param(rng_array(rng, 3))
-    v = nc.param(rng_array(rng, 3, 4))
-    weights = nc.constant(rng_array(rng, 12))
-
-    def f():
-        out = nc.scale(s, v)
-        return nc.dot(nc.concat([nc.row(out, r) for r in range(3)]), weights)
-
     assert nc.grad_check(f, [s, v]) < 1e-6
-    assert np.array_equal(nc.scale(nc.constant(s.value), nc.constant(v.value)).value,
-                          s.value[:, None] * v.value)
-    with pytest.raises(ValueError, match="scale"):
-        nc.scale(nc.constant(np.ones(2)), nc.constant(np.ones((3, 4))))
-    with pytest.raises(ValueError, match="scale"):
-        nc.scale(nc.constant(np.ones(4)), nc.constant(np.ones(4)))
-
-
-def test_scalar_scale_is_bitwise_the_product():
-    """The decode path scales vectors by one scalar; the op must add no
-    rounding of its own."""
-    rng = np.random.default_rng(20)
-    for k, v in zip(rng.normal(size=50), rng.normal(scale=10, size=(50, 7))):
-        assert np.array_equal(nc.scale(nc.constant(k), nc.constant(v)).value, k * v)
 
 
 def test_relu_and_chained_add_grad_check():
@@ -213,8 +187,8 @@ def test_relu_and_chained_add_grad_check():
 
 
 def test_double_backward_raises():
-    x = nc.param(2.0)
-    loss = nc.scale(x, x)
+    x = nc.param([2.0])
+    loss = nc.dot(x, x)
     nc.backward(loss)
     with pytest.raises(nc.GradError, match="twice"):
         nc.backward(loss)
@@ -276,14 +250,16 @@ def test_row_shares_no_memory_with_its_table(index):
 
 
 def test_gradient_accumulates_across_reuse():
-    x = nc.param(3.0)
-    nc.backward(nc.add(nc.scale(x, x), nc.scale(x, x)))  # d/dx 2x^2 = 4x
-    assert abs(x.grad - 12.0) < 1e-12
+    x = nc.param([3.0])
+    nc.backward(nc.add(nc.dot(x, x), nc.dot(x, x)))  # d/dx 2x^2 = 4x
+    assert abs(x.grad[0] - 12.0) < 1e-12
 
 
 def test_log_rejects_nonpositive():
-    with pytest.raises(FloatingPointError):
-        nc.log(nc.constant([0.0, 1.0]))
+    """The log in ``nll`` rejects a target probability that is not positive."""
+    for p in ([0.0, 1.0], [-0.5, 1.5]):
+        with pytest.raises(FloatingPointError, match="nll"):
+            nc.nll(nc.constant(p), 0)
 
 
 def test_dropout_identity_at_zero_and_scaling():
@@ -299,7 +275,7 @@ def test_deep_chain_topological_sort_is_iterative():
     x = nc.param(1.0)
     node = x
     for _ in range(5000):
-        node = nc.neg(node)
+        node = nc.relu(node)
     nc.backward(node)
     assert x.grad == 1.0
 
@@ -340,8 +316,7 @@ def test_matrix_ops_grad_check():
     def f():
         rows = nc.vstack([nc.concat([x, y]), v])              # 4 x 4
         p = nc.softmax(nc.add(nc.matvec(w, rows), b))          # 4 x 5
-        picked = nc.pick(nc.row(p, np.arange(3)), targets)
-        return nc.dot(nc.log(picked), nc.constant(np.ones(3)))
+        return nc.nll(nc.row(p, np.arange(3)), targets)
 
     assert nc.grad_check(f, [w, b, x, y, v]) < 1e-6
 
@@ -355,7 +330,7 @@ def test_matrix_masked_softmax_grad_check_and_zeros():
 
     def f():
         p = nc.softmax(logits, valid)
-        return nc.dot(nc.log(nc.pick(p, np.array([2, 2, 4]))), nc.constant(np.ones(3)))
+        return nc.nll(p, np.array([2, 2, 4]))
 
     assert nc.grad_check(f, [logits]) < 1e-6
     p = nc.softmax(nc.constant(logits.value), valid).value
@@ -676,16 +651,14 @@ def test_matvec_column_block_errors():
 @pytest.mark.parametrize("rows", [None, 3], ids=["vector", "rows"])
 def test_mixture_is_the_node_formula_and_grad_checks(rows):
     """``mixture`` gives bitwise what w * p + (1 - w) * onehot(index) gives
-    when built from scale, sub and add nodes, and its gradients
-    grad-check."""
+    in numpy, and its gradients grad-check."""
     rng = np.random.default_rng(31)
     p = nc.param(rng.dirichlet(np.ones(5), size=rows))
     w = nc.param(rng.uniform(0, 1, size=() if rows is None else rows))
     index = 2 if rows is None else np.array([4, 0, 2])
     point = np.arange(5) == np.asarray(index)[..., None]
-    want = nc.add(nc.scale(w, p), nc.scale(nc.sub(nc.constant(np.ones(w.shape)), w),
-                                           nc.constant(point.astype(float))))
-    assert nc.mixture(w, p, index).value.tobytes() == want.value.tobytes()
+    want = w.value[..., None] * p.value + (1 - w.value)[..., None] * point
+    assert nc.mixture(w, p, index).value.tobytes() == want.tobytes()
     weights = nc.constant(rng.uniform(-1, 1, size=5 * (rows or 1)))
 
     def f():
@@ -706,6 +679,52 @@ def test_mixture_errors():
     for w in (nc.constant(0.5), nc.constant([0.5, 0.5, 0.5])):
         with pytest.raises(ValueError, match="mixture"):
             nc.mixture(w, p, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["vector", "rows"])
+def test_nll_is_the_numpy_formula_and_grad_checks(rows):
+    """``nll`` gives bitwise -log(p[t]) for a vector and -(ones @ log(p[r, t]))
+    for a matrix, so the training losses keep their rounding; its gradient
+    is -1/p at the targets and exactly 0 elsewhere, and grad-checks."""
+    rng = np.random.default_rng(34)
+    p = nc.param(rng.uniform(0.2, 1.0, size=5 if rows is None else (rows, 5)))
+    targets = 3 if rows is None else np.array([4, 0, 4])
+    where = 3 if rows is None else (np.arange(rows), targets)
+    picked = p.value[where]
+    want = -np.log(picked) if rows is None else -(np.ones(rows) @ np.log(picked))
+    loss = nc.nll(p, targets)
+    assert loss.value.shape == () and loss.value.tobytes() == np.float64(want).tobytes()
+    nc.backward(loss)
+    scatter = np.zeros_like(p.value)
+    scatter[where] = -1.0 / picked
+    assert np.array_equal(p.grad, scatter)
+    assert nc.grad_check(lambda: nc.nll(p, targets), [p]) < 1e-6
+
+
+def test_nll_rejects_a_zero_target_but_reads_no_other_entry():
+    """A gold probability of 0 is the underflow training reports as a
+    non-finite loss; a masked entry's exact 0 elsewhere is no error and gets
+    no gradient."""
+    logits = nc.param([[0.3, -1.0, 2.0], [1.5, 0.2, -0.7]])
+    p = nc.softmax(logits, np.array([[True, False, True], [True, True, False]]))
+    loss = nc.nll(p, np.array([2, 1]))
+    nc.backward(loss)
+    assert np.isfinite(loss.value) and logits.grad[0, 1] == 0.0 and logits.grad[1, 2] == 0.0
+    for bad in (np.array([1, 1]), np.array([0, 2])):
+        with pytest.raises(FloatingPointError, match="nll"):
+            nc.nll(p, bad)
+    assert nc.nll(nc.constant([0.0, 1.0]), 1).value == 0.0
+
+
+def test_nll_errors():
+    p = nc.constant(np.full((2, 3), 1 / 3))
+    for targets in ([0, 3], [-1, 0], [0], [0.0, 1.0]):
+        with pytest.raises(IndexError, match="nll"):
+            nc.nll(p, np.array(targets))
+    with pytest.raises(IndexError, match="nll"):
+        nc.nll(nc.constant(np.full(3, 1 / 3)), 3)
+    with pytest.raises(ValueError, match="nll"):
+        nc.nll(nc.constant(np.ones((2, 2, 2))), 0)
 
 
 @pytest.mark.parametrize("x, h, sizes", [
@@ -737,15 +756,12 @@ def test_no_grad_builds_no_tape():
 
 def _values(*shapes):
     rng = np.random.default_rng(21)
-    return [rng.uniform(0.5, 1.5, size=shape) for shape in shapes]   # positive, for log
+    return [rng.uniform(0.5, 1.5, size=shape) for shape in shapes]   # positive, for nll
 
 
 # every public op: how to call it on its inputs, and the input values
 OPS = {
     "add": (nc.add, _values(3, 3)),
-    "neg": (nc.neg, _values(3)),
-    "sub": (nc.sub, _values(3, 3)),
-    "scale": (nc.scale, _values((), (2, 3))),
     "matvec": (nc.matvec, _values((2, 3), 3)),
     "matvec_cols": (lambda w, x: nc.matvec(w, x, slice(1, 3)), _values((2, 4), (3, 2))),
     "dot": (nc.dot, _values(3, 3)),
@@ -755,11 +771,11 @@ OPS = {
     "pick": (lambda a: nc.pick(a, 2), _values(3)),
     "sigmoid": (nc.sigmoid, _values(3)),
     "relu": (nc.relu, [v - 1.0 for v in _values(3)]),
-    "log": (nc.log, _values(3)),
     "softmax": (nc.softmax, _values((2, 3))),
     "masked_softmax": (lambda a: nc.softmax(a, np.array([True, False, True])),   # a softmax node
                        _values(3)),
     "mixture": (lambda w, p: nc.mixture(w, p, np.array([2, 0])), _values(2, (2, 3))),
+    "nll": (lambda p: nc.nll(p, np.array([2, 0])), _values((2, 3))),
     "lstm_seq": (nc.lstm_seq, _values((4, 2), (12, 5), 12, 3, 3)),
     "lstm_step": (lambda *a: nc.lstm_seq(*a, (1,)), _values(2, (12, 5), 12, 3, 3)),
     "lstm_step_rows": (lambda *a: nc.lstm_seq(*a, (4,)),
@@ -787,10 +803,6 @@ def test_every_op_records_its_inputs_only_on_the_tape(name):
         op = "lstm_seq"
     elif name in ("masked_softmax", "matvec_cols"):
         op = name.split("_")[0] if name == "matvec_cols" else "softmax"
-    elif name == "sub":            # add(a, neg(b))
-        negated = node._parents[1]
-        assert negated.name == "neg" and negated._parents == (inputs[1],)
-        expected, op = (inputs[0], negated), "add"
     assert node.name == op
     assert node._parents == expected
     assert node.requires_grad and node._backprop is not None
@@ -801,6 +813,15 @@ def test_every_op_records_its_inputs_only_on_the_tape(name):
     for got in (free, constant):
         assert got._parents == () and got._backprop is None and not got.requires_grad
         assert got.value.tobytes() == taped.value.tobytes()
+
+
+def test_every_public_op_but_dot_has_a_model_caller():
+    """An op that no model calls is dead code. ``dot`` stays: the tests
+    reduce vectors to a scalar loss with it."""
+    package = pathlib.Path(nc.__file__).parent
+    code = "".join(f.read_text() for f in sorted(package.glob("*.py")) if f.name != "numcore.py")
+    assert "dot" in PUBLIC
+    assert [name for name in PUBLIC if name != "dot" and f"nc.{name}(" not in code] == []
 
 
 def test_no_grad_restores_the_flag_when_its_block_raises():

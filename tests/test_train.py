@@ -61,11 +61,11 @@ def test_config_rejects_bad_learning_rate(lr):
 
 def test_adam_minimizes_quadratic():
     x = nc.param(np.array([10.0]))
-    target = nc.constant(np.array([3.0]))
+    minus_target = nc.constant(np.array([-3.0]))
     optimizer = Adam([x], lr=0.1)
     for _ in range(400):
         x.zero_grad()
-        diff = nc.sub(x, target)
+        diff = nc.add(x, minus_target)
         nc.backward(nc.dot(diff, diff))
         optimizer.step()
     assert abs(float(x.value[0]) - 3.0) < 1e-3
