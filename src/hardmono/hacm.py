@@ -219,11 +219,11 @@ class HacmModel:
                  copy_ids: int | np.ndarray) -> Node:
         """The output head, w * P_gen + (1 - w) * onehot(copy), on one
         decoder step (vectors and one copy id) or on T steps (T-row
-        matrices and T copy ids, one distribution per row)."""
+        matrices and T copy ids, one distribution per row). ``nc.mixture``
+        takes the gate's one logit per step and applies the sigmoid."""
         p_gen = nc.softmax(self.gen(s))
         gate = self.gate(nc.concat([attended, feats, prev_emb, s]))
-        w = nc.sigmoid(nc.pick(gate, np.zeros(s.shape[:-1], dtype=int)))
-        return nc.mixture(w, p_gen, copy_ids)
+        return nc.mixture(gate, p_gen, copy_ids)
 
     # --- training objective ---
 

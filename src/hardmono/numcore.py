@@ -14,11 +14,13 @@ model's output head runs on all rows at once. ``lstm_seq``, the one LSTM
 op, also runs packed sequences: one LSTM step of B rows, or many inputs.
 It also takes inputs already projected through their weights, so that a
 decoder whose inputs come from small tables multiplies only W_h·h per
-step; ``matvec`` on a column block of w builds such tables. Both losses
-end in ``nll``, the summed negative log-likelihood of the oracle's actions.
+step; ``matvec`` on a column block of w builds such tables. HACM's copy
+head ``mixture`` applies its gate's sigmoid itself. Both losses end in
+``nll``, the summed negative log-likelihood of the oracle's actions.
 
-Every public op has a caller in the models but ``dot``: the tests keep it
-to reduce a vector to the scalar that ``backward`` and ``grad_check`` need.
+Of the 12 public ops, every one has a caller in the models but ``dot``:
+the tests keep it to reduce a vector to the scalar that ``backward`` and
+``grad_check`` need.
 
 Greedy decoding steps the same ops one vector at a time inside
 ``no_grad``: there every op builds a node with no parents and no backward
@@ -264,28 +266,11 @@ def _entries(op: str, a: Node, index: int | np.ndarray):
     return index
 
 
-def pick(a: Node, index: int | np.ndarray) -> Node:
-    """Scalar entry of a vector; for a matrix, ``index`` holds one column
-    per row and the result is the vector of those entries."""
-    where = _entries("pick", a, index)
-
-    def grads(g):
-        ga = np.zeros_like(a.value)
-        ga[where] = g
-        return (ga,)
-    return _op("pick", a.value[where], (a,), grads)
-
-
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     # exp(-|v|) never overflows; it is exp(-v) for v >= 0 and exp(v) below
     e = np.exp(-np.abs(v))
     d = 1.0 + e
     return np.where(v >= 0, 1.0 / d, e / d)
-
-
-def sigmoid(a: Node) -> Node:
-    s = _sigmoid(a.value)
-    return _op("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def relu(a: Node) -> Node:
@@ -314,21 +299,23 @@ def softmax(a: Node, valid: np.ndarray | None = None) -> Node:
     return _op("softmax", p, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
-def mixture(w: Node, p: Node, index: int | np.ndarray) -> Node:
-    """``w * p + (1 - w) * onehot(index)``: the distribution ``p`` mixed
-    with a point mass at ``index``, weighing p by the scalar w. For a
-    matrix p, w and ``index`` hold one entry per row. Only the entry at
-    ``index`` gets 1 - w added; every other is ``w * p`` exactly."""
+def mixture(gate: Node, p: Node, index: int | np.ndarray) -> Node:
+    """``w * p + (1 - w) * onehot(index)``, w the sigmoid of the one-unit
+    logit ``gate`` of shape ``p.shape[:-1] + (1,)``: for a matrix p, gate
+    and ``index`` hold one entry per row. Only the entry at ``index`` gets
+    1 - w added; every other is ``w * p`` exactly."""
     where = _entries("mixture", p, index)
-    if w.value.shape != p.value.shape[:-1]:
-        _shape_error("mixture (w, p)", w, p)
-    k = w.value[..., None]
+    if gate.value.shape != p.value.shape[:-1] + (1,):
+        _shape_error("mixture (gate, p)", gate, p)
+    w = _sigmoid(gate.value[..., 0])
+    k = w[..., None]
     out = k * p.value
-    out[where] += 1.0 - w.value
+    out[where] += 1.0 - w
 
     def grads(g):
-        return (g * p.value).sum(axis=-1) - g[where], g * k
-    return _op("mixture", out, (w, p), grads)
+        gw = (g * p.value).sum(axis=-1) - g[where]
+        return (gw * w * (1.0 - w))[..., None], g * k
+    return _op("mixture", out, (gate, p), grads)
 
 
 def nll(p: Node, targets: int | np.ndarray) -> Node:

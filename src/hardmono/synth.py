@@ -15,6 +15,7 @@ splits never share a stem.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 
@@ -127,12 +128,13 @@ def generate(config: SynthConfig) -> tuple[list[Sample], list[Sample], list[Samp
 
 
 def write_language(directory: str, config: SynthConfig) -> dict[str, str]:
-    """Generate and write train/dev/test files; returns name -> path."""
-    import os
-
+    """Generate and write train/dev/test files; returns name -> path. All
+    three splits are generated before the directory is made, so a request
+    the pattern cannot satisfy leaves nothing behind."""
+    splits = generate(config)
     os.makedirs(directory, exist_ok=True)
     paths = {}
-    for name, samples in zip(("train", "dev", "test"), generate(config)):
+    for name, samples in zip(("train", "dev", "test"), splits):
         path = os.path.join(directory, f"{name}.tsv")
         write_dataset(path, samples)
         paths[name] = path

@@ -338,6 +338,16 @@ def test_train_records_the_dropout_flag(lang, tmp_path):
     assert json.loads((out / "manifest.json").read_text())["dropout"] == 0.1
 
 
+def test_synth_out_of_stems_writes_no_directory(tmp_path, capsys):
+    """CV has 60 stems, too few for 100 training samples: the request fails
+    before its --out directory is made."""
+    out = tmp_path / "nostems"
+    assert main(["synth", "--out", str(out), "--pattern", "CV", "--train-size", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_exit_codes(lang, tmp_path, capsys):
     assert main(["train", "--arch", "GRU", "--train", "x", "--dev", "y",
                  "--out", "z"]) == 1
@@ -425,8 +435,9 @@ def test_train_bad_learning_rate_is_a_usage_error(lang, tmp_path, capsys, lr):
     (["--synth", "--no-form"], 1),
     (["--synth", "--run", "1", "--hacm-naive", "0"], 2),
     (["--synth", "--test-size", "0"], 2),
+    (["--synth", "--train-size", "2000"], 2),
 ], ids=["epochs-0", "hidden-0", "negative-count", "no-data", "missing-data", "synth-no-form",
-        "empty-run-cell", "synth-empty-split"])
+        "empty-run-cell", "synth-empty-split", "synth-too-few-stems"])
 def test_run_rejects_a_bad_config_before_writing(tmp_path, capsys, flags, code):
     argv = ["run", "--out", str(tmp_path / "d"), "--train-size", "4", "--dev-size", "2",
             "--test-size", "2", *TINY, *flags]

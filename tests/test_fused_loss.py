@@ -177,7 +177,7 @@ TAPE_NODES = {
     ("HAEM", "fliegen", "geflogen"): 56, ("HAEM", "gelingen", "gelang"): 58,
     ("HAEM", "abgab", "fbolf"): 58, ("HAEM-basic", "fliegen", "geflogen"): 40,
     ("HAEM-basic", "gelingen", "gelang"): 40, ("HAEM-basic", "abgab", "fbolf"): 40,
-    ("HACM", "fliegen", "geflogen"): 45, ("HACM", "gelingen", "gelang"): 45,
+    ("HACM", "fliegen", "geflogen"): 43, ("HACM", "gelingen", "gelang"): 43,
 }
 
 

@@ -134,7 +134,7 @@ def test_copy_mass_lower_bound():
         copy_id = m.copy_action_id(state)
         gate_in = nc.concat([nc.row(state.frame, state.i), state.feat_vec,
                              state.prev_emb, state.lstm[0]])
-        w = float(nc.sigmoid(nc.pick(m.gate(gate_in), 0)).value)
+        w = float(nc._sigmoid(m.gate(gate_in).value[0]))
         p = m.distribution(state).value
         assert p[copy_id] >= (1 - w) - 1e-12
 

@@ -35,16 +35,6 @@ def test_softmax_extreme_logits_finite():
         assert np.all(np.isfinite(p))
 
 
-def test_sigmoid_at_zero():
-    assert nc.sigmoid(nc.constant(0.0)).value == 0.5
-
-
-def test_sigmoid_extreme_inputs():
-    v = nc.sigmoid(nc.constant([-1e4, 1e4])).value
-    assert np.all(np.isfinite(v))
-    assert v[0] < 1e-10 and v[1] > 1 - 1e-10
-
-
 def test_linear_loss_gradient_is_outer():
     rng = random.Random(1)
     w = nc.param(rng_array(rng, 3, 4))
@@ -65,12 +55,12 @@ def test_two_layer_net_grad_check():
     rng = random.Random(2)
     w1 = nc.param(rng_array(rng, 5, 4))
     b1 = nc.param(rng_array(rng, 5))
-    w2 = nc.param(rng_array(rng, 1, 5))
+    w2 = nc.param(rng_array(rng, 3, 5))
     x = nc.constant(rng_array(rng, 4))
 
     def f():
-        h = nc.sigmoid(nc.add(nc.matvec(w1, x), b1))
-        return nc.pick(nc.matvec(w2, h), 0)
+        h = nc.relu(nc.add(nc.matvec(w1, x), b1))
+        return nc.nll(nc.softmax(nc.matvec(w2, h)), 0)
 
     assert nc.grad_check(f, [w1, b1, w2]) < 1e-6
 
@@ -159,14 +149,14 @@ def test_structural_ops_grad_check():
 
 
 def test_mixture_ops_grad_check():
-    """HACM's gate: a scalar sigmoid weighs a distribution against a point
-    mass."""
+    """HACM's gate: the sigmoid of a one-unit logit weighs a distribution
+    against a point mass."""
     rng = random.Random(8)
-    s = nc.param(0.3)
+    s = nc.param([0.3])
     v = nc.param(rng_array(rng, 4))
 
     def f():
-        mix = nc.mixture(nc.sigmoid(s), nc.softmax(v), 1)
+        mix = nc.mixture(s, nc.softmax(v), 1)
         return nc.dot(mix, mix)
 
     assert nc.grad_check(f, [s, v]) < 1e-6
@@ -304,7 +294,7 @@ def test_row_gather_grad_check_and_scatter_add():
 
 def test_matrix_ops_grad_check():
     """matvec on a matrix, a bias added to every row, concat along the last
-    axis, vstack, row-wise softmax and one pick per row."""
+    axis, vstack, row-wise softmax and nll with one target per row."""
     rng = random.Random(12)
     w = nc.param(rng_array(rng, 5, 4))
     b = nc.param(rng_array(rng, 5))
@@ -350,8 +340,6 @@ def test_matrix_shape_errors_name_the_op():
         nc.concat([nc.constant(np.zeros((2, 3))), nc.constant(np.zeros((3, 3)))])
     with pytest.raises(ValueError, match="vstack"):
         nc.vstack([nc.constant(np.zeros((2, 3))), nc.constant(np.zeros(2))])
-    with pytest.raises(IndexError, match="pick"):
-        nc.pick(nc.constant(np.zeros((2, 3))), np.array([0, 3]))
     with pytest.raises(ValueError, match="lstm_seq"):
         nc.lstm_seq(nc.constant(np.zeros((2, 3))), nc.constant(np.zeros((8, 4))),
                     nc.constant(np.zeros(8)), nc.constant(np.zeros(2)), nc.constant(np.zeros(2)))
@@ -651,34 +639,55 @@ def test_matvec_column_block_errors():
 @pytest.mark.parametrize("rows", [None, 3], ids=["vector", "rows"])
 def test_mixture_is_the_node_formula_and_grad_checks(rows):
     """``mixture`` gives bitwise what w * p + (1 - w) * onehot(index) gives
-    in numpy, and its gradients grad-check."""
+    in numpy, with w the sigmoid of the gate logit, and its gradients
+    grad-check, the gate's included."""
     rng = np.random.default_rng(31)
     p = nc.param(rng.dirichlet(np.ones(5), size=rows))
-    w = nc.param(rng.uniform(0, 1, size=() if rows is None else rows))
+    gate = nc.param(rng.normal(0, 2, size=(1,) if rows is None else (rows, 1)))
     index = 2 if rows is None else np.array([4, 0, 2])
     point = np.arange(5) == np.asarray(index)[..., None]
-    want = w.value[..., None] * p.value + (1 - w.value)[..., None] * point
-    assert nc.mixture(w, p, index).value.tobytes() == want.tobytes()
+    w = nc._sigmoid(gate.value[..., 0])
+    want = w[..., None] * p.value + (1 - w)[..., None] * point
+    assert nc.mixture(gate, p, index).value.tobytes() == want.tobytes()
     weights = nc.constant(rng.uniform(-1, 1, size=5 * (rows or 1)))
 
     def f():
-        out = nc.mixture(w, p, index)
+        out = nc.mixture(gate, p, index)
         flat = out if rows is None else nc.concat([nc.row(out, r) for r in range(rows)])
         return nc.dot(flat, weights)
 
-    assert nc.grad_check(f, [w, p]) < 1e-6
+    assert nc.grad_check(f, [gate, p]) < 1e-6
+
+
+def test_mixture_gate_at_zero():
+    """A gate logit of 0 weighs p by exactly 0.5."""
+    out = nc.mixture(nc.constant([0.0]), nc.constant(np.full(4, 0.25)), 1).value
+    assert np.array_equal(out, [0.125, 0.625, 0.125, 0.125])
+
+
+def test_mixture_gate_extreme_logits():
+    """Gate logits of +-1e4 give weights of exactly 1 and 0, with no
+    overflow warning."""
+    p = nc.constant(np.full((2, 4), 0.25))
+    out = nc.mixture(nc.constant([[1e4], [-1e4]]), p, np.array([2, 3])).value
+    assert np.array_equal(out[0], p.value[0])
+    assert np.array_equal(out[1], [0.0, 0.0, 0.0, 1.0])
 
 
 def test_mixture_errors():
-    p, w = nc.constant(np.full((2, 3), 1 / 3)), nc.constant([0.5, 0.5])
+    p, gate = nc.constant(np.full((2, 3), 1 / 3)), nc.constant([[0.5], [0.5]])
     for index in ([0, 3], [-1, 0], [0], [0.0, 1.0]):
         with pytest.raises(IndexError, match="mixture"):
-            nc.mixture(w, p, np.array(index))
+            nc.mixture(gate, p, np.array(index))
     with pytest.raises(IndexError, match="mixture"):
-        nc.mixture(nc.constant(0.5), nc.constant(np.full(3, 1 / 3)), 3)
-    for w in (nc.constant(0.5), nc.constant([0.5, 0.5, 0.5])):
+        nc.mixture(nc.constant([0.5]), nc.constant(np.full(3, 1 / 3)), 3)
+    # a weight per row without the logit column, a width-2 gate, a row too many
+    for gate in (nc.constant(0.5), nc.constant([0.5, 0.5]), nc.constant(np.zeros((2, 2))),
+                 nc.constant(np.zeros((3, 1)))):
         with pytest.raises(ValueError, match="mixture"):
-            nc.mixture(w, p, np.array([0, 1]))
+            nc.mixture(gate, p, np.array([0, 1]))
+    with pytest.raises(ValueError, match="mixture"):
+        nc.mixture(nc.constant(0.5), nc.constant(np.full(3, 1 / 3)), 0)
 
 
 @pytest.mark.parametrize("rows", [None, 3], ids=["vector", "rows"])
@@ -744,12 +753,13 @@ def test_lstm_seq_packing_errors(x, h, sizes):
 def test_no_grad_builds_no_tape():
     w = nc.param(np.eye(2))
     with nc.no_grad():
-        out = nc.sigmoid(nc.matvec(w, nc.constant([0.5, -1.0])))
+        out = nc.softmax(nc.matvec(w, nc.constant([0.5, -1.0])))
         leaf = nc.param([1.0])
     assert out._parents == () and out._backprop is None and not out.requires_grad
-    assert np.allclose(out.value, 1.0 / (1.0 + np.exp(-np.array([0.5, -1.0]))))
+    e = np.exp(np.array([0.5, -1.0]))
+    assert np.allclose(out.value, e / e.sum())
     assert leaf.requires_grad and w.requires_grad
-    on_tape = nc.sigmoid(nc.matvec(w, nc.constant([0.5, -1.0])))
+    on_tape = nc.softmax(nc.matvec(w, nc.constant([0.5, -1.0])))
     assert on_tape.requires_grad and on_tape._backprop is not None
     assert np.array_equal(on_tape.value, out.value)
 
@@ -768,13 +778,11 @@ OPS = {
     "concat": (lambda *parts: nc.concat(parts), _values(2, 3)),
     "vstack": (lambda *parts: nc.vstack(parts), _values(3, (2, 3))),
     "row": (lambda m: nc.row(m, 1), _values((3, 2))),
-    "pick": (lambda a: nc.pick(a, 2), _values(3)),
-    "sigmoid": (nc.sigmoid, _values(3)),
     "relu": (nc.relu, [v - 1.0 for v in _values(3)]),
     "softmax": (nc.softmax, _values((2, 3))),
     "masked_softmax": (lambda a: nc.softmax(a, np.array([True, False, True])),   # a softmax node
                        _values(3)),
-    "mixture": (lambda w, p: nc.mixture(w, p, np.array([2, 0])), _values(2, (2, 3))),
+    "mixture": (lambda gate, p: nc.mixture(gate, p, np.array([2, 0])), _values((2, 1), (2, 3))),
     "nll": (lambda p: nc.nll(p, np.array([2, 0])), _values((2, 3))),
     "lstm_seq": (nc.lstm_seq, _values((4, 2), (12, 5), 12, 3, 3)),
     "lstm_step": (lambda *a: nc.lstm_seq(*a, (1,)), _values(2, (12, 5), 12, 3, 3)),
@@ -828,11 +836,11 @@ def test_no_grad_restores_the_flag_when_its_block_raises():
     with pytest.raises(KeyError):
         with nc.no_grad():
             raise KeyError("boom")
-    assert nc.sigmoid(nc.param([0.5])).requires_grad
+    assert nc.relu(nc.param([0.5])).requires_grad
     with nc.no_grad():
         with nc.no_grad():
             pass
-        assert not nc.sigmoid(nc.param([0.5])).requires_grad
+        assert not nc.relu(nc.param([0.5])).requires_grad
 
 
 def test_backward_frees_the_tape_without_the_cyclic_gc():
@@ -844,7 +852,7 @@ def test_backward_frees_the_tape_without_the_cyclic_gc():
         gc.collect()
         h = nc.constant(rng_array(rng, 3))
         for _ in range(5):
-            h = nc.sigmoid(nc.matvec(w, h))
+            h = nc.softmax(nc.matvec(w, h))
         loss = nc.dot(h, h)
         nc.backward(loss)
         del h, loss
@@ -865,7 +873,7 @@ def test_dropped_tape_frees_without_the_cyclic_gc():
         gc.collect()
         h = nc.constant(rng_array(rng, 3))
         for _ in range(5):
-            h = nc.sigmoid(nc.matvec(w, h))
+            h = nc.softmax(nc.matvec(w, h))
         out = nc.lstm_seq(h, nc.param(rng_array(rng, 12, 6)), nc.param(rng_array(rng, 12)),
                           h, h, (1,))
         h, c = nc.row(out, 0), nc.row(out, 1)
@@ -880,7 +888,7 @@ def test_dropped_tape_frees_without_the_cyclic_gc():
 
 def test_backward_reaching_a_consumed_node_raises():
     x = nc.param([0.3, -0.2])
-    h = nc.sigmoid(x)
+    h = nc.softmax(x)
     nc.backward(nc.dot(h, h))
     first = x.grad.copy()
     with pytest.raises(nc.GradError, match="consumed"):
