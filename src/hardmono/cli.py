@@ -3,8 +3,9 @@ synth, and an end-to-end run command.
 
 Every command accepts ``--config FILE`` pointing at a flat ``key = value``
 file whose keys are long flag names (``aligner = smart``); explicit flags
-override file values.  Exit codes: 0 success, 1 usage error (or a model
-too large for memory), 2 data error, 3 training or numeric error.
+override file values, and the file is the last ``--config`` given.  Exit
+codes: 0 success, 1 usage error (or a model too large for memory), 2 data
+error, 3 training or numeric error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ from hardmono.align import ALIGNERS, render
 from hardmono.corpus import DataError, Sample, open_text, parse_dataset
 # greedy_decode and predict are not called here: perfbench/selftest.py checks they are traced
 from hardmono.decode import greedy_decode
-from hardmono.ensemble import EnsembleError, Member, PoolEntry, require_run_cells, run_strategy
+from hardmono.ensemble import (
+    RUN_CELLS,
+    EnsembleError,
+    Member,
+    PoolEntry,
+    require_run_cells,
+    run_strategy,
+)
 from hardmono.hacm import VARIANTS, ModelConfig
 from hardmono.metrics import macro_report, render_table, render_tsv, score
 from hardmono.numcore import GradError
@@ -28,7 +36,7 @@ from hardmono.oracle import HACM, HAEM, ORACLES, ReplayError, display_trace
 from hardmono.serialize import CheckpointError, _atomic_write, load_checkpoint, save_checkpoint
 from hardmono.synth import DEFAULT_PATTERN, SynthConfig, SynthError, parse_rule, write_language
 from hardmono.train import (
-    SETTINGS,
+    POPULATION_COUNTS,
     TrainConfig,
     TrainingError,
     TrainResult,
@@ -38,8 +46,6 @@ from hardmono.train import (
     train_model,
     train_population,
 )
-
-ARCHS = (HACM, HAEM)
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -232,12 +238,14 @@ def cmd_ensemble(args) -> int:
     test = _samples(args.test, not args.no_form)
     result = run_strategy(args.run, pool, dev, test, external=_external_member(args, len(pool)))
     _emit(args, _prediction_lines(test, list(result.predictions)))
-    print(f"run {result.run}: {result.system} dev_accuracy={result.dev_accuracy:.4f}")
+    summary = sys.stdout if args.out else sys.stderr   # stdout may hold the predictions
+    print(f"run {result.run}: {result.system} dev_accuracy={result.dev_accuracy:.4f}",
+          file=summary)
     if not args.no_form:
         rep = macro_report([score("test", list(result.predictions),
                                   [s.form for s in test])])
         print(f"test accuracy={rep.macro_accuracy:.4f} "
-              f"levenshtein={rep.macro_levenshtein:.4f}")
+              f"levenshtein={rep.macro_levenshtein:.4f}", file=summary)
     return 0
 
 
@@ -389,12 +397,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub("oracle", cmd_oracle, "derive gold action sequences")
     p.add_argument("--data", required=True)
     p.add_argument("--aligner", choices=sorted(ALIGNERS), default="smart")
-    p.add_argument("--arch", choices=ARCHS, required=True)
+    p.add_argument("--arch", choices=ORACLES, required=True)
     p.add_argument("--trace", action="store_true", help="append attention indices")
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub("train", cmd_train, "train one model")
-    p.add_argument("--arch", choices=ARCHS, required=True)
+    p.add_argument("--arch", choices=ORACLES, required=True)
     p.add_argument("--aligner", choices=sorted(ALIGNERS), default="smart")
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
@@ -409,7 +417,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub("ensemble", cmd_ensemble, "combine a pool of checkpoints")
-    p.add_argument("--run", type=int, choices=range(1, 8), required=True)
+    p.add_argument("--run", type=int, choices=RUN_CELLS, required=True)
     p.add_argument("--pool", nargs="+", required=True, help="checkpoint directories")
     p.add_argument("--dev", required=True, help="labeled dev file")
     p.add_argument("--test", required=True)
@@ -438,8 +446,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub("run", cmd_run, "train a population and apply a run strategy")
     p.add_argument("--out", required=True, help="artifact directory")
     p.add_argument("--language", default="synthetic")
-    p.add_argument("--run", type=int, choices=range(1, 8), default=7)
-    p.add_argument("--setting", choices=SETTINGS, default="low")
+    p.add_argument("--run", type=int, choices=RUN_CELLS, default=7)
+    p.add_argument("--setting", choices=POPULATION_COUNTS, default="low")
     p.add_argument("--train")
     p.add_argument("--dev")
     p.add_argument("--test")
@@ -483,15 +491,10 @@ def _coerce(key: str, action: argparse.Action, value: str):
 
 
 def _apply_config(sub: argparse.ArgumentParser, values: dict[str, str]) -> None:
-    actions = {}
-    for action in sub._actions:
-        for option in action.option_strings:
-            if option.startswith("--"):
-                actions[option[2:]] = action
     for key, value in values.items():
-        if key not in actions:
+        action = sub._option_string_actions.get(f"--{key}")
+        if action is None:
             raise ValueError(f"config key {key!r} is not a flag of this command")
-        action = actions[key]
         sub.set_defaults(**{action.dest: _coerce(key, action, value)})
         if action.required:
             action.required = False
@@ -511,26 +514,22 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _find_config(argv: list[str]) -> str | None:
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, registry = build_parser()
     try:
-        # config defaults must land before parsing so they can satisfy
-        # required flags; the command name is the first non-flag token
-        config_path = _find_config(argv)
-        if config_path is not None:
-            command = next((a for a in argv if not a.startswith("-")), None)
-            if command in registry:
-                _apply_config(registry[command], load_config(config_path))
+        # config defaults must land before parsing so they can satisfy required
+        # flags; argparse finds the command and its config file: the last
+        # --config, under any unique prefix
+        pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+        pre.add_argument("command", nargs="?")
+        pre.add_argument("--config")
+        try:
+            known, _ = pre.parse_known_args(argv)
+        except argparse.ArgumentError:   # a dangling --config; the full parse reports it
+            known = None
+        if known is not None and known.command in registry and known.config is not None:
+            _apply_config(registry[known.command], load_config(known.config))
         try:
             args = parser.parse_args(argv)
         except SystemExit as e:

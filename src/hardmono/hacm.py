@@ -28,7 +28,7 @@ import numpy as np
 
 from hardmono import numcore as nc
 from hardmono.corpus import CharVocabulary, FeatureAlphabet
-from hardmono.nn import BiEncoder, EmbeddingTable, Linear, LstmCell, ParamSet
+from hardmono.nn import BiEncoder, Linear, LstmCell, ParamSet
 from hardmono.numcore import Node
 from hardmono.oracle import HACM, Action, ActionCodec, HacmExecutor, OracleSequence
 
@@ -85,11 +85,11 @@ class HacmModel:
         self.feat_width = f * feats.num_slots
 
         ps = ParamSet(source)
-        self.char_emb = EmbeddingTable(ps, "char_emb", len(vocab), e)
+        self.char_emb = ps.uniform("char_emb", (len(vocab), e))
         # after char_emb, whose shape check bounds a checkpoint's vocabulary
         self.codec = ActionCodec(HACM, vocab.chars)
-        self.act_emb = EmbeddingTable(ps, "act_emb", self.codec.size, e)
-        self.feat_emb = EmbeddingTable(ps, "feat_emb", feats.num_slots, f)
+        self.act_emb = ps.uniform("act_emb", (self.codec.size, e))
+        self.feat_emb = ps.uniform("feat_emb", (feats.num_slots, f))
         self.encoder = BiEncoder(ps, "enc", e, h)
         self.decoder = LstmCell(ps, "dec", e + 2 * h + self.feat_width, h)
         self.gen = Linear(ps, "gen", h, self.codec.size)
@@ -104,7 +104,7 @@ class HacmModel:
         when absent."""
         present = set(self.feats.slots_of(features))
         zero = nc.constant(np.zeros(self.config.feat_embed))
-        parts = [self.feat_emb(s) if s in present else zero
+        parts = [nc.row(self.feat_emb, s) if s in present else zero
                  for s in range(self.feats.num_slots)]
         return nc.concat(parts)
 
@@ -117,12 +117,12 @@ class HacmModel:
 
     def _frame(self, lemma: str) -> Node:
         """The encoded BOS + lemma + EOS frame, one row per position."""
-        return self.encoder(self.char_emb(self._frame_ids(lemma)))
+        return self.encoder(nc.row(self.char_emb, self._frame_ids(lemma)))
 
     def _frames(self, lemmas: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """``_frame`` of every lemma, to rounding and without a tape, in one
         table, and the row where each starts."""
-        table = self.char_emb.table.value
+        table = self.char_emb.value
         return self.encoder.encode_all([table[self._frame_ids(lemma)] for lemma in lemmas])
 
     def _tables(self, frames: Node, feats: Node, owner: np.ndarray | None = None
@@ -139,7 +139,7 @@ class HacmModel:
         feat_proj = nc.add(dec.project(feats, e + 2 * h), dec.b)
         if owner is not None:
             feat_proj = nc.row(feat_proj, owner)
-        return dec.project(self.act_emb.table, 0), nc.add(dec.project(frames, e), feat_proj)
+        return dec.project(self.act_emb, 0), nc.add(dec.project(frames, e), feat_proj)
 
     def start(self, lemma: str, features: tuple[str, ...]) -> HacmState:
         frame, feat_vec = self._frame(lemma), self.feature_vector(features)
@@ -168,7 +168,8 @@ class HacmModel:
                 exs[r] = exs[r].apply(action)
             ids = np.array([self.codec.ids[a] for a in actions])
             at = first[rows] + np.array([exs[r].i for r in rows])
-            emb, attended, feat = self.act_emb(ids), nc.constant(frames[at]), nc.row(feats, rows)
+            emb = nc.row(self.act_emb, ids)
+            attended, feat = nc.constant(frames[at]), nc.row(feats, rows)
             x = nc.add(nc.row(acts, ids), nc.row(rows_proj, at))
             lstm = self.decoder.step(x, (nc.constant(h[rows]), nc.constant(c[rows])),
                                      projected=True)
@@ -191,7 +192,7 @@ class HacmModel:
         acts, rows_proj = state.tables
         x = nc.add(nc.row(acts, action_id), nc.row(rows_proj, ex.i))
         lstm = self.decoder.step(x, state.lstm, projected=True)
-        return replace(state, ex=ex, lstm=lstm, prev_emb=self.act_emb(action_id),
+        return replace(state, ex=ex, lstm=lstm, prev_emb=nc.row(self.act_emb, action_id),
                        attended=nc.row(state.frame, ex.i))
 
     def copy_action_id(self, state: HacmState) -> int | None:
@@ -262,7 +263,7 @@ class HacmModel:
 
         attended = nc.row(frame, np.array(positions))
         feats = nc.vstack([self.feature_vector(features)] * steps)
-        prev_emb = self.act_emb(np.array(prev_ids))
+        prev_emb = nc.row(self.act_emb, np.array(prev_ids))
         x = nc.concat([prev_emb, attended, feats])
         if training:
             x = nc.dropout(x, self.config.dropout, rng)

@@ -27,7 +27,7 @@ import numpy as np
 from hardmono import numcore as nc
 from hardmono.corpus import CharVocabulary, FeatureAlphabet
 from hardmono.hacm import ModelConfig
-from hardmono.nn import BiEncoder, EmbeddingTable, Linear, LstmCell, ParamSet
+from hardmono.nn import BiEncoder, Linear, LstmCell, ParamSet
 from hardmono.numcore import Node
 from hardmono.oracle import HAEM, Action, ActionCodec, HaemExecutor, OracleSequence
 
@@ -68,7 +68,7 @@ class HaemModel:
         h, e = config.hidden, config.embed
 
         ps = ParamSet(source)
-        self.char_emb = EmbeddingTable(ps, "char_emb", len(vocab), e)
+        self.char_emb = ps.uniform("char_emb", (len(vocab), e))
         # after char_emb, whose shape check bounds a checkpoint's vocabulary
         self.codec = ActionCodec(HAEM, vocab.chars)
         self.encoder = BiEncoder(ps, "enc", e, h)
@@ -77,7 +77,7 @@ class HaemModel:
         # then a and d in the extended variant
         self.tracks = [(LstmCell(ps, "y", e, h), self.char_emb)]
         if self.extended:
-            act_emb = EmbeddingTable(ps, "act_emb", self.codec.size, e)
+            act_emb = ps.uniform("act_emb", (self.codec.size, e))
             self.tracks += [(LstmCell(ps, "a", e, h), act_emb),
                             (LstmCell(ps, "d", e, h), self.char_emb)]
         state_in = len(self.tracks) * h + 2 * h + feats.num_slots
@@ -103,12 +103,13 @@ class HaemModel:
     def _frame(self, lemma: str) -> Node:
         """Rows h_1 .. h_n over the bare lemma, then the learned
         end-of-lemma vector as row n, which stands in for h_{n+1}."""
-        return nc.vstack([self.encoder(self.char_emb(self._frame_ids(lemma))), self.end_vec])
+        return nc.vstack([self.encoder(nc.row(self.char_emb, self._frame_ids(lemma))),
+                          self.end_vec])
 
     def _frames(self, lemmas: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """``_frame`` of every lemma, to rounding and without a tape, in
         one table, and the row where each starts."""
-        table = self.char_emb.table.value
+        table = self.char_emb.value
         return self.encoder.encode_all([table[self._frame_ids(lemma)] for lemma in lemmas],
                                        tail=self.end_vec.value)
 
@@ -200,7 +201,7 @@ class HaemModel:
             if feed is RESTART:
                 lstm = (cell.h0, cell.c0)
             elif feed is not None:
-                lstm = cell.step(emb(feed), lstm)
+                lstm = cell.step(nc.row(emb, feed), lstm)
             lstms.append(lstm)
         return replace(state, ex=ex, lstms=tuple(lstms))
 
@@ -249,7 +250,7 @@ class HaemModel:
         return nc.nll(self._scores(x, np.array(valid)), np.array(targets))
 
     @staticmethod
-    def _states(track: tuple[LstmCell, EmbeddingTable], feeds: list) -> Node:
+    def _states(track: tuple[LstmCell, Node], feeds: list) -> Node:
         """One tracking LSTM's hidden state before each step, given its feed
         after every step but the last: one sequence op per run of ids
         between restarts, each run stacked after its learned h0. A track fed
@@ -266,12 +267,12 @@ class HaemModel:
         for ids in runs:
             blocks.append(cell.h0)
             if ids:
-                blocks.append(cell.sequence(emb(np.array(ids))))
+                blocks.append(cell.sequence(nc.row(emb, np.array(ids))))
         states = nc.vstack(blocks)
         return states if states.shape[0] == len(reads) else nc.row(states, np.array(reads))
 
 
-def _advance(track: tuple[LstmCell, EmbeddingTable], state: tuple[np.ndarray, np.ndarray],
+def _advance(track: tuple[LstmCell, Node], state: tuple[np.ndarray, np.ndarray],
              rows: list[int], feeds: list) -> None:
     """One tracking LSTM's (h, c) rows after one action, in place: row
     ``rows[j]`` steps on ``feeds[j]``, restarts from the learned state on
@@ -281,7 +282,7 @@ def _advance(track: tuple[LstmCell, EmbeddingTable], state: tuple[np.ndarray, np
     steps = [(r, feed) for r, feed in zip(rows, feeds) if feed is not None and feed is not RESTART]
     if steps:
         at = [r for r, _ in steps]
-        new = cell.step(emb(np.array([feed for _, feed in steps])),
+        new = cell.step(nc.row(emb, np.array([feed for _, feed in steps])),
                         (nc.constant(h[at]), nc.constant(c[at])))
         h[at], c[at] = new[0].value, new[1].value
     restart = [r for r, feed in zip(rows, feeds) if feed is RESTART]

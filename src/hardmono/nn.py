@@ -1,5 +1,7 @@
-"""Neural layers: parameter registry, embeddings, linear maps, LSTM cells,
-and a bidirectional encoder.
+"""Neural layers: parameter registry, linear maps, LSTM cells, and a
+bidirectional encoder. There is no embedding layer: an embedding is a
+table made with ``ParamSet.uniform``, and the models read its rows with
+``nc.row``, as they read every other table.
 
 Layers take one input vector (a decoding step) or a matrix with one input
 per row (a training loss over a whole sequence, or one decoding step of
@@ -98,21 +100,8 @@ def _tensor(state: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> 
     return state[name]
 
 
-class EmbeddingTable:
-    """One learned vector per symbol id; ids must already be in range."""
-
-    def __init__(self, params: ParamSet, name: str, num_symbols: int, dim: int):
-        if num_symbols < 1 or dim < 1:
-            raise ValueError(f"embedding table {name!r} needs positive sizes")
-        self.table = params.uniform(name, (num_symbols, dim))
-
-    def __call__(self, symbol_id: int | np.ndarray) -> Node:
-        return nc.row(self.table, symbol_id)
-
-
 class Linear:
     def __init__(self, params: ParamSet, name: str, in_size: int, out_size: int):
-        self.in_size = in_size
         self.w = params.uniform(f"{name}.w", (out_size, in_size))
         self.b = params.zeros(f"{name}.b", (out_size,))
 

@@ -121,7 +121,11 @@ def generate(config: SynthConfig) -> tuple[list[Sample], list[Sample], list[Samp
             for rule in config.rules:
                 if len(samples) == size:
                     break
-                samples.append(Sample(stem, rule.features, rule.apply(stem)))
+                form = rule.apply(stem)
+                if not form:
+                    text = f"{';'.join(rule.features)}={rule.kind}:{rule.arg}"
+                    raise SynthError(f"rule {text!r} leaves nothing of stem {stem!r}")
+                samples.append(Sample(stem, rule.features, form))
         return samples
 
     return split(config.train), split(config.dev), split(config.test)

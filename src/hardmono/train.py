@@ -34,8 +34,6 @@ from hardmono.oracle import HACM, HAEM, ORACLES
 
 log = logging.getLogger(__name__)
 
-SETTINGS = ("low", "medium", "high")
-
 POPULATION_COUNTS = {
     "low": {(HACM, "smart"): 5, (HACM, "naive"): 5, (HAEM, "smart"): 5, (HAEM, "naive"): 5},
     "medium": {(HACM, "smart"): 5, (HACM, "naive"): 5, (HAEM, "smart"): 5, (HAEM, "naive"): 3},

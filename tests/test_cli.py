@@ -189,6 +189,22 @@ def test_ensemble_run2(lang, checkpoints, tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 6
 
 
+def test_ensemble_without_out_writes_only_the_predictions_to_stdout(lang, checkpoints,
+                                                                   tmp_path, capsys):
+    """Predictions on stdout are the --out file's bytes, so they can be
+    redirected and scored; the summary goes to stderr instead."""
+    argv = ["ensemble", "--run", "2",
+            "--pool", str(checkpoints / "HACM_smart"), str(checkpoints / "HACM_naive"),
+            "--dev", str(lang / "dev.tsv"), "--test", str(lang / "test.tsv")]
+    out = tmp_path / "ens.tsv"
+    assert main([*argv, "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert main(argv) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stdout.encode("utf-8") == out.read_bytes()
+    assert stderr == summary and summary.startswith("run 2: ")
+
+
 def test_ensemble_external_wins_run5(lang, checkpoints, tmp_path, capsys):
     test_samples = parse_dataset(str(lang / "test.tsv"))
     dev_samples = parse_dataset(str(lang / "dev.tsv"))
@@ -280,6 +296,26 @@ def test_config_file_supplies_flags(tmp_path, capsys):
     assert [s.lemma for s in other] != [s.lemma for s in made]
 
 
+@pytest.mark.parametrize("flags", [["--conf", "{b}"], ["--config", "{a}", "--config", "{b}"]],
+                         ids=["prefix", "last"])
+def test_the_config_file_is_the_one_argparse_reads(tmp_path, flags):
+    """argparse takes a unique prefix of --config and keeps the last of
+    two; that file's values apply (b.cfg asks for 5 training rows)."""
+    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a.write_text("train-size = 3\n")
+    b.write_text("train-size = 5\n")
+    out = tmp_path / "lang"
+    assert main(["synth", *[f.format(a=a, b=b) for f in flags], "--out", str(out),
+                 "--dev-size", "1", "--test-size", "1"]) == 0
+    assert len(parse_dataset(str(out / "train.tsv"))) == 5
+
+
+def test_a_dangling_config_flag_is_a_usage_error(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "s"), "--config"]) == 1
+    assert "--config: expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_repeatable_flags_replace_the_config_file_list(lang, tmp_path, capsys):
     gold = str(lang / "dev.tsv")
     cfg = tmp_path / "eval.cfg"
@@ -345,6 +381,14 @@ def test_synth_out_of_stems_writes_no_directory(tmp_path, capsys):
     assert main(["synth", "--out", str(out), "--pattern", "CV", "--train-size", "100"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_synth_rule_that_empties_a_form_names_the_rule_and_the_stem(tmp_path, capsys):
+    out = tmp_path / "empty"
+    assert main(["synth", "--out", str(out), "--pattern", "V", "--rule", "V;PST=ablaut:a>"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: rule 'V;PST=ablaut:a>' leaves nothing of stem 'a'\n"
     assert not out.exists()
 
 

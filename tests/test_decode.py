@@ -355,7 +355,7 @@ def stop_on_pst(name, seed):
         # decoder unit 0 saturates to h = +tanh(1) with PST and -tanh(1)
         # without, and the end action reads it
         hs, e, f = m.config.hidden, m.config.embed, m.config.feat_embed
-        m.feat_emb.table.value[slot] = 1.0
+        m.feat_emb.value[slot] = 1.0
         for gate, bias in enumerate((25.0, -25.0, 25.0, -25.0)):   # i, f, o, g
             m.decoder.b.value[gate * hs] = bias
         col = e + 2 * hs + slot * f

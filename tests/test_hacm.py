@@ -38,7 +38,7 @@ def test_feature_vector_layout():
     full = m.feature_vector(("2", "PST", "SG", "V")).value
     fe = m.config.feat_embed
     for slot in range(4):
-        assert np.array_equal(full[slot * fe:(slot + 1) * fe], m.feat_emb(slot).value)
+        assert np.array_equal(full[slot * fe:(slot + 1) * fe], m.feat_emb.value[slot])
     assert np.array_equal(full[4 * fe:], np.zeros(fe))  # unk slot absent
 
     two = m.feature_vector(("V", "PST")).value
@@ -52,7 +52,7 @@ def test_unseen_feature_maps_to_unk_slot():
     fe = m.config.feat_embed
     vec = m.feature_vector(("NONSUCH",)).value
     unk = m.feats.unk_slot
-    assert np.array_equal(vec[unk * fe:], m.feat_emb(unk).value)
+    assert np.array_equal(vec[unk * fe:], m.feat_emb.value[unk])
 
 
 def test_decoder_input_dimension_law():
@@ -261,7 +261,7 @@ def test_seeded_construction_is_deterministic():
 def concat_step(m, lstm, action_ids, attended, feats):
     """The decoder step on its whole input [E(prev); h_i; f]: the reference
     for steps read from the input tables."""
-    return m.decoder.step(nc.concat([m.act_emb(action_ids), attended, feats]), lstm)
+    return m.decoder.step(nc.concat([nc.row(m.act_emb, action_ids), attended, feats]), lstm)
 
 
 @pytest.mark.parametrize("lemma", ["fliegen", "aXbY"], ids=["in-vocabulary", "oov"])

@@ -36,10 +36,10 @@ def test_feature_indicator():
 def test_state_input_dimension_law():
     ext = build()
     h, slots = ext.config.hidden, ext.feats.num_slots
-    assert ext.state_proj.in_size == h + 2 * h + slots + 2 * h
+    assert ext.state_proj.w.shape[1] == h + 2 * h + slots + 2 * h
     basic = build(cfg=ModelConfig(hidden=6, embed=5, feat_embed=3,
                                   variant="basic", dropout=0.0))
-    assert basic.state_proj.in_size == h + 2 * h + slots
+    assert basic.state_proj.w.shape[1] == h + 2 * h + slots
     assert len(basic.tracks) == 1
     assert "act_emb" not in basic.params.names()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardmono import numcore as nc
-from hardmono.nn import BiEncoder, EmbeddingTable, Linear, LstmCell, ParamSet
+from hardmono.nn import BiEncoder, Linear, LstmCell, ParamSet
 
 
 def make(seed=0):
@@ -51,14 +51,6 @@ def test_paramset_on_a_state_takes_each_tensor_once_its_shape_fits():
     with pytest.raises(ValueError, match="'c' is missing"):
         ps.zeros("c", (3,))
     assert ps["w"].value is state["w"]   # taken, not copied
-
-
-def test_embedding_returns_stored_row():
-    ps, rng = make()
-    emb = EmbeddingTable(ps, "emb", 5, 3)
-    assert np.array_equal(emb(2).value, emb.table.value[2])
-    with pytest.raises(IndexError):
-        emb(5)
 
 
 def test_linear_zero_bias_init():

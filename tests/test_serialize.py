@@ -1,5 +1,6 @@
 """Parameter file format and checkpoint round trips."""
 
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -124,6 +125,49 @@ def test_params_reject_a_non_finite_value_naming_file_and_tensor(tmp_path, value
     save_params(path, {"fine": np.zeros(2), "bad": bad})
     with pytest.raises(CheckpointError, match=rf"p\.bin: tensor 'bad' holds a non-finite value"):
         load_params(path)
+
+
+ENCODER = [("enc.fwd.w", (32, 14)), ("enc.fwd.b", (32,)), ("enc.fwd.h0", (8,)),
+           ("enc.fwd.c0", (8,)), ("enc.bwd.w", (32, 14)), ("enc.bwd.b", (32,)),
+           ("enc.bwd.h0", (8,)), ("enc.bwd.c0", (8,))]
+HAEM_Y = [("end_of_lemma", (16,)), ("y.w", (32, 14)), ("y.b", (32,)), ("y.h0", (8,)),
+          ("y.c0", (8,))]
+# name -> (model class, variant, tensor names and shapes in creation order,
+# SHA-256 of the initial weights drawn from default_rng(0))
+CONTRACT = {
+    "HACM": (HacmModel, "extended",
+             [("char_emb", (17, 6)), ("act_emb", (17, 6)), ("feat_emb", (8, 3)), *ENCODER,
+              ("dec.w", (32, 54)), ("dec.b", (32,)), ("dec.h0", (8,)), ("dec.c0", (8,)),
+              ("gen.w", (17, 8)), ("gen.b", (17,)), ("gate.w", (1, 54)), ("gate.b", (1,))],
+             "00e8995a3ea8848b926f8e04057a84f74bcafc44d4d4f46c6f02e8e4790db671"),
+    "HAEM-extended": (HaemModel, "extended",
+                      [("char_emb", (17, 6)), *ENCODER, *HAEM_Y, ("act_emb", (17, 6)),
+                       ("a.w", (32, 14)), ("a.b", (32,)), ("a.h0", (8,)), ("a.c0", (8,)),
+                       ("d.w", (32, 14)), ("d.b", (32,)), ("d.h0", (8,)), ("d.c0", (8,)),
+                       ("state.w", (8, 48)), ("state.b", (8,)), ("act.w", (17, 8)),
+                       ("act.b", (17,))],
+                      "81b7cc74e9fa7ca69cff3036a2d40d67404c6c0ddf4a24f301692840539f83f1"),
+    "HAEM-basic": (HaemModel, "basic",
+                   [("char_emb", (17, 6)), *ENCODER, *HAEM_Y, ("state.w", (8, 32)),
+                    ("state.b", (8,)), ("act.w", (17, 8)), ("act.b", (17,))],
+                   "da0f3164d8f14c70b00b7944e835a25001acaafe3be2dd457d8e23c724f68f8c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_parameter_names_shapes_order_and_initial_weights_are_fixed(name):
+    """The checkpoint contract of ``ParamSet``: a checkpoint written by an
+    earlier version loads only while every tensor keeps its name, shape and
+    place, and a seed draws the same initial weights."""
+    cls, variant, tensors, digest = CONTRACT[name]
+    vocab, feats = build_vocab(SAMPLES)
+    config = ModelConfig(hidden=8, embed=6, feat_embed=3, variant=variant)
+    model = cls(vocab, feats, config, np.random.default_rng(0))
+    assert [(n, model.params[n].value.shape) for n in model.params.names()] == tensors
+    sha = hashlib.sha256()
+    for node in model.params.nodes():
+        sha.update(node.value.astype("<f8").tobytes())
+    assert sha.hexdigest() == digest
 
 
 def test_manifest_fields():
